@@ -2,7 +2,7 @@
 
 Stdlib-only, so CI can run it without installing the package::
 
-    REPRO_BENCH_DIR=bench_out pytest benchmarks/ -k "not bench_"
+    REPRO_BENCH_DIR=bench_out pytest benchmarks/ -k "not test_bench_"
     python benchmarks/regress.py --baseline benchmarks/baselines \
         --current bench_out --out regress_verdict.json
 
@@ -38,7 +38,7 @@ compared leaf, so CI can render the diff without re-running anything.
 
 Re-baselining: when a deliberate change moves the numbers, regenerate
 with ``REPRO_BENCH_DIR=benchmarks/baselines pytest benchmarks/ -k
-"not bench_"`` on a quiet machine and commit the diff — the verdict
+"not test_bench_"`` on a quiet machine and commit the diff — the verdict
 output of the failing run belongs in the PR description.
 """
 
@@ -167,7 +167,7 @@ def compare_work(
             f"{name}: current run emits a 'work' counter block but the "
             "baseline has none — re-baseline needed (run "
             "REPRO_BENCH_DIR=benchmarks/baselines pytest benchmarks/ "
-            "-k 'not bench_' and commit the refreshed BENCH_*.json)"
+            "-k 'not test_bench_' and commit the refreshed BENCH_*.json)"
         )
         return records, problems
     for path, base_count in sorted(base.items()):

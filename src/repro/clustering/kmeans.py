@@ -41,10 +41,20 @@ class KMeansResult:
         return np.bincount(self.labels, minlength=self.k)
 
 
-def _pairwise_sq_dists(X: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """(n, k) squared Euclidean distances via |x|^2 - 2xC' + |c|^2."""
+def _row_sq_norms(X: np.ndarray) -> np.ndarray:
+    """(n, 1) squared row norms |x|^2, computed once per fit."""
+    return np.einsum("ij,ij->i", X, X)[:, None]
+
+
+def _pairwise_sq_dists(
+    X: np.ndarray, C: np.ndarray, x2: np.ndarray
+) -> np.ndarray:
+    """(n, k) squared Euclidean distances via |x|^2 - 2xC' + |c|^2.
+
+    ``x2`` is :func:`_row_sq_norms` of ``X``; the rows never change
+    within a fit, so seeding and every Lloyd iteration share it.
+    """
     work.add("work.cluster.distance_evals", X.shape[0] * C.shape[0])
-    x2 = np.einsum("ij,ij->i", X, X)[:, None]
     c2 = np.einsum("ij,ij->i", C, C)[None, :]
     d = x2 - 2.0 * (X @ C.T) + c2
     np.maximum(d, 0.0, out=d)
@@ -83,7 +93,7 @@ class KMeans:
     # -- seeding ---------------------------------------------------------
 
     def _init_centers(
-        self, X: np.ndarray, rng: np.random.Generator
+        self, X: np.ndarray, x2: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         """k-means++: spread seeds proportionally to squared distance."""
         n = X.shape[0]
@@ -91,7 +101,7 @@ class KMeans:
         centers = np.empty((k, X.shape[1]))
         first = int(rng.integers(n))
         centers[0] = X[first]
-        closest = _pairwise_sq_dists(X, centers[:1]).ravel()
+        closest = _pairwise_sq_dists(X, centers[:1], x2).ravel()
         for j in range(1, k):
             total = closest.sum()
             if total <= 0:
@@ -102,7 +112,7 @@ class KMeans:
             idx = int(rng.choice(n, p=probs))
             centers[j] = X[idx]
             closest = np.minimum(
-                closest, _pairwise_sq_dists(X, centers[j:j + 1]).ravel()
+                closest, _pairwise_sq_dists(X, centers[j:j + 1], x2).ravel()
             )
         return centers
 
@@ -143,7 +153,17 @@ class KMeans:
         tracer = tracer or NULL_TRACER
 
         with tracer.span("kmeans", n=n, d=int(X.shape[1]), k=k) as span:
-            centers = self._init_centers(X, rng)
+            x2 = _row_sq_norms(X)
+            centers = self._init_centers(X, x2, rng)
+            # centroid sums as one bincount over the nonzero cells, keyed
+            # (label, column); np.nonzero is row-major and bincount adds
+            # in index order, so each cell sums the same floats in the
+            # same order as np.add.at(sums, labels, X) would.  int32 keys
+            # cannot overflow: k * d >= 2**31 needs X of at least 16 GiB
+            d = X.shape[1]
+            rows, cols = np.nonzero(X)
+            vals = X[rows, cols]
+            rows, cols = rows.astype(np.int32), cols.astype(np.int32)
             labels = np.zeros(n, dtype=np.int32)
             prev_inertia = np.inf
             converged = False
@@ -153,14 +173,19 @@ class KMeans:
                     checkpoint()
                 span.inc("iterations")
                 work.add("work.cluster.iterations")
-                dists = _pairwise_sq_dists(X, centers)
+                dists = _pairwise_sq_dists(X, centers, x2)
                 labels = dists.argmin(axis=1).astype(np.int32)
                 inertia = float(dists[np.arange(n), labels].sum())
 
                 # recompute centroids; reseed empties to farthest points
                 counts = np.bincount(labels, minlength=k).astype(np.float64)
-                sums = np.zeros_like(centers)
-                np.add.at(sums, labels, X)
+                keys = labels[rows]
+                keys *= d
+                keys += cols
+                # bincount of no cells at all (X == 0) returns int64
+                sums = np.bincount(
+                    keys, weights=vals, minlength=k * d
+                ).astype(np.float64, copy=False).reshape(k, d)
                 empty = counts == 0
                 if empty.any():
                     span.inc("reseeds", int(empty.sum()))
@@ -182,7 +207,7 @@ class KMeans:
                 prev_inertia = inertia
 
             # final assignment against the final centers
-            dists = _pairwise_sq_dists(X, centers)
+            dists = _pairwise_sq_dists(X, centers, x2)
             labels = dists.argmin(axis=1).astype(np.int32)
             inertia = float(dists[np.arange(n), labels].sum())
             span.set_attr("converged", converged)

@@ -206,10 +206,12 @@ class Discretizer:
             if attr.is_categorical:
                 # keep only codes that occur; re-map to a dense domain so
                 # the view's domain reflects the current result set
-                occurring = sorted(set(int(c) for c in col.codes if c >= 0))
+                present = col.codes[col.codes >= 0]
+                occurring = np.flatnonzero(
+                    np.bincount(present, minlength=len(col.categories))
+                ).tolist()
                 remap = np.full(len(col.categories) + 1, -1, dtype=np.int32)
-                for new, old in enumerate(occurring):
-                    remap[old] = new
+                remap[occurring] = np.arange(len(occurring))
                 codes[name] = remap[col.codes]
                 labels[name] = tuple(col.categories[o] for o in occurring)
                 continue

@@ -22,7 +22,6 @@ import numpy as np
 from repro.errors import CADViewError
 from repro.iunits.iunit import IUnit
 from repro.iunits.ranking import PreferenceFunction, SizePreference
-from repro.iunits.similarity import iunit_similarity
 from repro.obs import work
 from repro.obs.tracer import NULL_TRACER, Tracer
 
@@ -34,17 +33,51 @@ __all__ = [
 ]
 
 
+def _unit_rows(vectors: Sequence[np.ndarray]) -> np.ndarray:
+    """Stack count vectors into (l, w) rows scaled the way
+    :func:`~repro.iunits.similarity.cosine_similarity` scales them:
+    by the max magnitude (so subnormal counts do not underflow), then to
+    unit L2 norm.  All-zero rows stay zero and so score 0 with anything.
+    """
+    shapes = {np.shape(v) for v in vectors}
+    if len(shapes) > 1:
+        raise CADViewError(f"cosine: shape mismatch {sorted(shapes)}")
+    M = np.array(vectors, dtype=float)
+    peak = np.abs(M).max(axis=1, initial=0.0)
+    live = peak > 0
+    M[live] /= peak[live, None]
+    M[live] /= np.linalg.norm(M[live], axis=1)[:, None]
+    return M
+
+
 def similarity_graph(
     iunits: Sequence[IUnit], tau: float
 ) -> np.ndarray:
-    """Boolean adjacency matrix: entry (i, j) True iff sim(i, j) >= tau."""
+    """Boolean adjacency matrix: entry (i, j) True iff sim(i, j) >= tau.
+
+    Algorithm 1 for all l(l-1)/2 pairs at once: per Compare Attribute,
+    one Gram matrix of the normalized distributions gives every pair's
+    cosine; clipped to [0, 1] and summed over the attributes in order.
+    The BLAS product may differ from the scalar
+    :func:`~repro.iunits.similarity.iunit_similarity` in the last ulp,
+    so only a pair whose similarity lies within ~1e-9 of ``tau`` could
+    land on the other side of the threshold.
+    """
     n = len(iunits)
-    adj = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if iunit_similarity(iunits[i], iunits[j]) >= tau:
-                adj[i, j] = adj[j, i] = True
-    return adj
+    attrs = iunits[0].compare_attributes if n else ()
+    for unit in iunits[1:]:
+        if unit.compare_attributes != attrs:
+            raise CADViewError(
+                "IUnits come from different Compare Attribute sets: "
+                f"{attrs} vs {unit.compare_attributes}"
+            )
+    work.add("work.diversify.similarity_pairs", n * (n - 1) // 2)
+    sim = np.zeros((n, n))
+    for d in attrs:
+        M = _unit_rows([u.distributions[d] for u in iunits])
+        sim += np.clip(M @ M.T, 0.0, 1.0)
+    adj = np.triu(sim >= tau, 1)
+    return adj | adj.T
 
 
 def _check(scores: Sequence[float], adjacency: np.ndarray, k: int) -> np.ndarray:

@@ -478,30 +478,36 @@ class Analyzer:
     # -- predicate logic: contradictions / tautologies --------------------
 
     def _check_logic(
-        self, pred: Predicate, report: AnalysisReport, negated: bool
+        self,
+        pred: Predicate,
+        report: AnalysisReport,
+        negated: bool,
+        under_or: bool = False,
     ) -> None:
         """Recursive contradiction/tautology scan.
 
         Constraint propagation is only attempted on And/Or nodes in
         positive position; anything under a NOT is recursed for its own
-        sub-structure but not folded into parent constraints.
+        sub-structure but not folded into parent constraints.  A
+        contradictory conjunction under an OR empties only its own
+        disjunct, not the WHERE clause, so it is not a QA301.
         """
         if isinstance(pred, Not):
-            self._check_logic(pred.child, report, negated=True)
+            self._check_logic(pred.child, report, True, under_or)
             return
         if isinstance(pred, And):
             self._dup_check(pred.children, "conjunct", report)
-            if not negated:
+            if not negated and not under_or:
                 self._contradiction_check(pred, report)
             for child in pred.children:
-                self._check_logic(child, report, negated)
+                self._check_logic(child, report, negated, under_or)
             return
         if isinstance(pred, Or):
             self._dup_check(pred.children, "disjunct", report)
             if not negated:
                 self._tautology_check(pred, report)
             for child in pred.children:
-                self._check_logic(child, report, negated)
+                self._check_logic(child, report, negated, True)
 
     def _dup_check(
         self,

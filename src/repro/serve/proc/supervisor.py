@@ -19,8 +19,8 @@ The supervision tree::
 Failure handling, per cause:
 
 * **crash** — the process exits nonzero (or is SIGKILLed from
-  outside).  The reader sees EOF, the monitor sees ``is_alive() ==
-  False``; whichever notices first runs the one-shot death path.
+  outside).  The reader sees EOF, the monitor sees an exit
+  code; whichever notices first runs the one-shot death path.
 * **hang** — the process is alive but its heartbeat went stale (an
   injected ``proc.worker_hang``, a native-code spin).  The monitor
   SIGKILLs it: cancellation is cooperative and a hung worker by
@@ -63,6 +63,7 @@ import zlib
 from collections import deque
 from dataclasses import dataclass, field, replace
 from multiprocessing import get_context
+from multiprocessing import connection as mp_connection
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -331,6 +332,16 @@ class _Shard:
         self.journal_warned = False  # one-time growth warning latch
 
 
+# ``Popen.poll`` is not thread-safe: when two threads waitpid() the
+# same child, the loser gets ECHILD and reads the exited worker as
+# still running (exitcode None).  The reader, the monitor and drain all
+# ask, and ``Process.start()`` polls every unreaped child, so every
+# poll, kill and start goes through this one lock.  Waiting happens
+# outside it, on the process sentinel, which reaps nothing; only an
+# exiting child is reaped under it.
+_PROCESS_LOCK = threading.Lock()
+
+
 class _WorkerHandle:
     """One live (or dying) worker incarnation."""
 
@@ -348,6 +359,25 @@ class _WorkerHandle:
         self.down = False
         self.saw_bye = False
         self.inflight: Dict[str, _Request] = {}
+
+    def exitcode(self, timeout: float = 0.0) -> Optional[int]:
+        """The exit code once the process has exited, else ``None``;
+        waits up to ``timeout`` seconds for the exit first."""
+        exiting = mp_connection.wait([self.process.sentinel], timeout)
+        with _PROCESS_LOCK:
+            if exiting:
+                # the sentinel closes before the child is reapable; a
+                # non-blocking poll in that window reads it as running
+                self.process.join()
+            return self.process.exitcode
+
+    def kill(self, timeout: float) -> Optional[int]:
+        """SIGKILL the process unless it has exited; its exit code
+        after waiting up to ``timeout`` seconds."""
+        with _PROCESS_LOCK:
+            if self.process.exitcode is None:
+                self.process.kill()
+        return self.exitcode(timeout)
 
 
 class ProcSupervisor:
@@ -883,7 +913,8 @@ class ProcSupervisor:
             name=f"repro-worker-s{shard_idx}g{incarnation}",
             daemon=True,
         )
-        process.start()
+        with _PROCESS_LOCK:
+            process.start()
         child_conn.close()
         handle = _WorkerHandle(
             shard_idx, incarnation, process, parent_conn, self._now()
@@ -937,8 +968,7 @@ class ProcSupervisor:
                 )
 
     def _infer_cause(self, handle: _WorkerHandle) -> str:
-        handle.process.join(timeout=0.5)
-        code = handle.process.exitcode
+        code = handle.exitcode(0.5)
         if code == PIPE_DROP_EXIT:
             return "pipe_drop"
         if code == 0 and handle.saw_bye:
@@ -975,9 +1005,7 @@ class ProcSupervisor:
             shard=handle.shard, incarnation=handle.incarnation,
             cause=cause, ts=time.time(),
         )
-        if handle.process.is_alive():
-            handle.process.kill()
-        handle.process.join(timeout=2.0)
+        handle.kill(2.0)
         try:
             handle.conn.close()
         except OSError:
@@ -1036,7 +1064,7 @@ class ProcSupervisor:
             for shard in self._shards:
                 handle = shard.handle
                 if handle is not None and not handle.down:
-                    if not handle.process.is_alive():
+                    if handle.exitcode() is not None:
                         kills.append((handle, ""))  # cause from exitcode
                     elif handle.ready and (
                         now - handle.last_beat
@@ -1391,11 +1419,10 @@ class ProcSupervisor:
                 self._worker_down(handle, "pipe_drop")
         exitcodes: Dict[str, Optional[int]] = {}
         for handle in handles:
-            handle.process.join(timeout=3.0)
-            if handle.process.is_alive():
-                handle.process.kill()
-                handle.process.join(timeout=3.0)
-            exitcodes[f"s{handle.shard}"] = handle.process.exitcode
+            code = handle.exitcode(3.0)
+            if code is None:
+                code = handle.kill(3.0)
+            exitcodes[f"s{handle.shard}"] = code
             try:
                 handle.conn.close()
             except OSError:

@@ -44,6 +44,7 @@ incarnation — which is what makes chaos runs deterministic.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import queue
 import random
@@ -599,6 +600,43 @@ class _Worker:
         return base * (0.5 + rng.random() / 2.0)
 
 
+# OpenBLAS exports its thread setter under the build's symbol prefix
+_BLAS_SET_THREADS = (
+    "openblas_set_num_threads",
+    "openblas_set_num_threads64_",
+    "scipy_openblas_set_num_threads",
+    "scipy_openblas_set_num_threads64_",
+)
+
+
+def _one_blas_thread() -> None:
+    """Limit this worker's OpenBLAS to one thread.
+
+    The shards are already one process each; a worker whose k-means
+    matmul also fans out over every core starves the other shard and
+    the supervisor.  The thread count does not change a matmul's bytes
+    here (perfbench checks every digest).  Linux only; a no-op where
+    no OpenBLAS is mapped into the process.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as fh:
+            paths = {line.split()[-1] for line in fh if "openblas" in line}
+    except OSError:
+        return
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for name in _BLAS_SET_THREADS:
+            setter = getattr(lib, name, None)
+            if setter is not None:
+                setter.argtypes = [ctypes.c_int]
+                setter.restype = None
+                setter(1)
+                break
+
+
 def worker_main(
     spec_dict: Dict[str, object],
     conn,
@@ -611,6 +649,7 @@ def worker_main(
     # the supervisor coordinates interrupts; a stray ^C on the process
     # group must not take workers down un-drained
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _one_blas_thread()
     spec = WorkerSpec(**spec_dict)
     worker = _Worker(
         spec, conn, shard, incarnation,

@@ -181,6 +181,15 @@ class TestPredicateLogic:
         )
         assert "QA303" in report.codes()
 
+    def test_contradictory_disjunct_is_not_qa301(self, dbx):
+        # the OR still matches Paris rows: only one disjunct is empty
+        report = report_of(
+            dbx,
+            "SELECT * FROM Hotels WHERE city = Paris "
+            "OR (city = Paris AND city = Lyon)",
+        )
+        assert "QA301" not in report.codes()
+
     def test_negated_and_is_not_folded(self, dbx):
         # NOT (price > 9 AND price < 5) is always TRUE, not empty — the
         # analyzer must not report a contradiction under negation

@@ -9,6 +9,10 @@ statement reaches a terminal state, no matter which workers die when.
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -519,3 +523,34 @@ class TestDurableCatalog:
             assert "durability failure" in str(ticket.error)
             with pytest.raises(DurabilityError):
                 sup.submit("SELECT Make FROM data", session="s1")
+
+
+_BLAS_THREADS_PROBE = """
+import ctypes, numpy
+from repro.serve.proc.worker import _one_blas_thread
+_one_blas_thread()
+paths = {l.split()[-1] for l in open('/proc/self/maps') if 'openblas' in l}
+for path in sorted(paths):
+    lib = ctypes.CDLL(path)
+    for name in ('openblas_get_num_threads', 'openblas_get_num_threads64_',
+                 'scipy_openblas_get_num_threads',
+                 'scipy_openblas_get_num_threads64_'):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.restype = ctypes.c_int
+            print(getter())
+            break
+"""
+
+
+class TestWorkerBlasThreads:
+    def test_worker_pins_openblas_to_one_thread(self):
+        # a fresh interpreter, so this test process keeps its BLAS pool
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="2")
+        out = subprocess.run(
+            [sys.executable, "-c", _BLAS_THREADS_PROBE],
+            capture_output=True, text=True, timeout=60, env=env, check=True,
+        ).stdout.split()
+        if not out:
+            pytest.skip("no OpenBLAS mapped into this interpreter")
+        assert out == ["1"] * len(out)
