@@ -10,6 +10,11 @@ two tuples differing in one attribute are at distance 1 regardless of
 that attribute's cardinality — without this, high-cardinality attributes
 neither gain nor lose weight, which keeps the clustering aligned with
 the labeling step (which treats attributes uniformly).
+
+Discretized tuples repeat heavily (a partition's rows typically hold a
+third as many distinct code combinations), so the encoding keeps each
+distinct one-hot row once plus an ``inverse`` map from tuples to rows;
+k-means computes one distance per distinct row (DESIGN ch. 15).
 """
 
 from __future__ import annotations
@@ -27,12 +32,15 @@ __all__ = ["Encoding", "one_hot_encode"]
 
 @dataclass(frozen=True)
 class Encoding:
-    """A one-hot encoding of some view rows.
+    """A one-hot encoding of some view rows, stored as its distinct rows.
 
     Attributes
     ----------
-    matrix:
-        (n_rows, total_width) float64 design matrix.
+    rows:
+        (u, total_width) float64 matrix of the u distinct encoded rows;
+        no two are equal.
+    inverse:
+        (n_rows,) map from each view row to its row of ``rows``.
     names:
         The encoded attribute names, in block order.
     offsets:
@@ -42,10 +50,19 @@ class Encoding:
         Number of columns per attribute (its code-domain size).
     """
 
-    matrix: np.ndarray
+    rows: np.ndarray
+    inverse: np.ndarray
     names: Tuple[str, ...]
     offsets: Dict[str, int]
     widths: Dict[str, int]
+
+    @property
+    def matrix(self) -> np.ndarray:
+        """(n_rows, total_width) dense design matrix, ``rows[inverse]``.
+
+        Built on every access; k-means takes ``rows`` and ``inverse``.
+        """
+        return self.rows[self.inverse]
 
     def column_of(self, name: str, code: int) -> int:
         """Design-matrix column of (attribute, code)."""
@@ -61,6 +78,9 @@ class Encoding:
         return centers[:, start:start + self.widths[name]]
 
 
+_KEY_LIMIT = np.iinfo(np.int64).max
+
+
 def one_hot_encode(
     view: DiscretizedView,
     names: Sequence[str],
@@ -71,6 +91,12 @@ def one_hot_encode(
     Missing codes contribute an all-zero block.  With ``scale=True`` the
     two indicator entries that differ between tuples disagreeing on one
     attribute contribute exactly 1.0 to squared distance.
+
+    Tuples with equal codes on every name share one encoded row: each
+    tuple's codes form a mixed-radix int64 key (digit ``code + 1`` in
+    base ``width + 1``), and ``np.unique`` over the keys gives the
+    distinct rows and the inverse map.  When the next digit could
+    overflow int64, the keys are first re-densified to their ranks.
     """
     names = tuple(names)
     if not names:
@@ -82,11 +108,23 @@ def one_hot_encode(
     for name in names:
         offsets[name] = total
         total += max(1, widths[name])
-    X = np.zeros((n, total), dtype=np.float64)
-    value = 1.0 / np.sqrt(2.0) if scale else 1.0
-    rows = np.arange(n)
+    key = np.zeros(n, dtype=np.int64)
+    top = 0  # an upper bound on key
     for name in names:
-        codes = view.codes(name)
+        radix = widths[name] + 1
+        if top > (_KEY_LIMIT - radix + 1) // radix:
+            key = np.unique(key, return_inverse=True)[1].astype(np.int64)
+            top = n
+        key *= radix
+        key += view.codes(name) + 1
+        top = top * radix + radix - 1
+    _, first, inverse = np.unique(key, return_index=True, return_inverse=True)
+    u = len(first)
+    rows = np.zeros((u, total), dtype=np.float64)
+    value = 1.0 / np.sqrt(2.0) if scale else 1.0
+    at = np.arange(u)
+    for name in names:
+        codes = view.codes(name)[first]
         valid = codes >= 0
-        X[rows[valid], offsets[name] + codes[valid]] = value
-    return Encoding(X, names, offsets, widths)
+        rows[at[valid], offsets[name] + codes[valid]] = value
+    return Encoding(rows, inverse, names, offsets, widths)

@@ -639,8 +639,8 @@ class CADViewBuilder:
                 faults.fire("cluster", value)
                 km = KMeans(n_clusters=k, seed=int(rng.integers(2**31)))
                 fit = km.fit(
-                    encoding.matrix, rng, checkpoint=checkpoint,
-                    tracer=tracer,
+                    encoding.rows, rng, checkpoint=checkpoint,
+                    tracer=tracer, inverse=encoding.inverse,
                 )
                 break
             except ConvergenceError as exc:

@@ -119,6 +119,14 @@ class TestExplain:
         assert dbx.last_report is not None
         assert dbx.last_report.trace is not None
 
+    def test_kmeans_span_records_distinct_rows(self):
+        dbx = fresh_explorer()
+        dbx.execute(f"EXPLAIN ANALYZE {CREATE}")
+        spans = dbx.last_report.trace.find("kmeans")
+        assert spans
+        for span in spans:
+            assert 1 <= span.attrs["distinct"] <= span.attrs["n"]
+
     def test_analyze_select_times_the_statement(self):
         dbx = fresh_explorer()
         out = dbx.execute("EXPLAIN ANALYZE SELECT * FROM T")
