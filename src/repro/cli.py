@@ -366,12 +366,7 @@ def cmd_check(args) -> int:
     dbx = _explorer(args, None)
     dbx.register("data", _load_table(args))
     report = dbx.analyze(args.sql)
-    if args.json:
-        import json
-
-        print(json.dumps(report.as_dict(), indent=2))
-    else:
-        print(report.render())
+    _print_report(args, report)
     return EXIT_OK if report.ok else EXIT_USAGE
 
 
@@ -401,6 +396,16 @@ def cmd_repl(args) -> int:
                 print(f"error: {exc}")
     finally:
         _write_obs(args, tracer, worklog)
+
+
+def _print_report(args, report) -> None:
+    """Print a report as JSON (``--json``) or as its text rendering."""
+    if args.json:
+        import json
+
+        print(json.dumps(report.as_dict(), indent=2))
+    else:
+        print(report.render())
 
 
 def _replay_defaults_from_header(args, records) -> None:
@@ -494,12 +499,7 @@ def cmd_replay(args) -> int:
         dbx.register("data", _load_table(args))
         report = replay(records, dbx)
         report.corrupt_lines = corrupt
-        if args.json:
-            import json
-
-            print(json.dumps(report.as_dict(), indent=2))
-        else:
-            print(report.render())
+        _print_report(args, report)
     finally:
         _write_obs(args, tracer, worklog)
     if report.statements == 0:
@@ -543,26 +543,11 @@ def _replay_concurrent_cmd(args, records, corrupt: int = 0) -> int:
         )
         report.corrupt_lines = corrupt
         if args.verify_sequential:
-            baseline = replay_concurrent(
-                records, _fresh_replay_explorer(args), concurrency=1
-            )
-            mismatches = baseline.mismatches(report)
-            if mismatches:
-                for index, seq, conc in mismatches:
-                    print(
-                        f"wrong answer at statement #{index}: "
-                        f"sequential={seq} concurrent={conc}",
-                        file=sys.stderr,
-                    )
+            failure = _verify_sequential(args, records, report, "concurrent")
+            if failure:
+                print(f"error: {failure}", file=sys.stderr)
                 return EXIT_BUILD_FAILED
-            print(f"verified: {len(report.results)} statement(s) "
-                  f"byte-identical to the sequential replay")
-        if args.json:
-            import json
-
-            print(json.dumps(report.as_dict(), indent=2))
-        else:
-            print(report.render())
+        _print_report(args, report)
     finally:
         _write_obs(args, tracer, worklog)
     if not report.results:
@@ -574,6 +559,54 @@ def _replay_concurrent_cmd(args, records, corrupt: int = 0) -> int:
         print(f"error: {slo_failure}", file=sys.stderr)
         return EXIT_BUILD_FAILED
     return EXIT_OK
+
+
+def _verify_sequential(args, records, report, label: str) -> Optional[str]:
+    """Compare ``report``'s digests with an in-process sequential replay.
+
+    Prints each wrong answer (``label`` names the run under test) and
+    returns the failure line, or prints the verified line and returns
+    ``None``.
+    """
+    from repro.serve import replay_concurrent
+
+    baseline = replay_concurrent(
+        records, _fresh_replay_explorer(args), concurrency=1
+    )
+    mismatches = baseline.mismatches(report)
+    for index, seq, other in mismatches:
+        print(
+            f"wrong answer at statement #{index}: "
+            f"sequential={seq} {label}={other}",
+            file=sys.stderr,
+        )
+    if mismatches:
+        return (
+            f"{len(mismatches)} digest mismatch(es) vs the "
+            "sequential replay"
+        )
+    print(
+        f"verified: {len(report.results)} statement(s) "
+        "byte-identical to the sequential replay",
+        # keep --json stdout machine-parseable
+        file=sys.stderr if args.json else sys.stdout,
+    )
+    return None
+
+
+def _admission_knobs(args) -> dict:
+    """The admission, deadline and breaker flags of both serving modes."""
+    from repro.serve import BreakerConfig
+
+    return {
+        "queue_limit": args.queue_limit,
+        "deadline_s": (
+            args.deadline_ms / 1e3 if args.deadline_ms is not None else None
+        ),
+        "breaker": BreakerConfig(
+            trip_after=args.trip_after, cooldown_s=args.cooldown_ms / 1e3,
+        ),
+    }
 
 
 def cmd_serve(args) -> int:
@@ -593,8 +626,7 @@ def cmd_serve(args) -> int:
     within the backoff bounds, and — with ``--verify-sequential`` —
     digests byte-identical to an in-process sequential replay.
     """
-    from repro.robustness import Budget
-    from repro.serve import BreakerConfig, ServeConfig, replay_concurrent
+    from repro.serve import ServeConfig, replay_concurrent
 
     if not args.stress:
         raise ReproError(
@@ -623,19 +655,8 @@ def cmd_serve(args) -> int:
     try:
         config = ServeConfig(
             workers=args.workers,
-            queue_limit=args.queue_limit,
-            deadline_s=(
-                args.deadline_ms / 1e3
-                if args.deadline_ms is not None else None
-            ),
             max_retries=args.max_retries,
-            breaker=BreakerConfig(
-                trip_after=args.trip_after,
-                cooldown_s=args.cooldown_ms / 1e3,
-            ),
-            open_budget=Budget(
-                deadline_s=0.25, max_rows=2000, retries=0
-            ),
+            **_admission_knobs(args),
         )
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
@@ -647,12 +668,7 @@ def cmd_serve(args) -> int:
             records, dbx, concurrency=args.workers, config=config
         )
         report.corrupt_lines = corrupt
-        if args.json:
-            import json
-
-            print(json.dumps(report.as_dict(), indent=2))
-        else:
-            print(report.render())
+        _print_report(args, report)
     finally:
         _write_obs(args, tracer, worklog)
     if not report.results:
@@ -708,24 +724,20 @@ def _serve_procs(args, records, corrupt: int) -> int:
     flush — and the command still exits 0: that is the graceful-drain
     contract the chaos tests pin down.
     """
+    import dataclasses
     import signal
 
-    from repro.robustness import Budget
-    from repro.serve import BreakerConfig, replay_concurrent
+    from repro.serve import replay_concurrent
     from repro.serve.proc import (
         ProcServeConfig,
         ProcSupervisor,
         WorkerSpec,
     )
+    from repro.serve.stress import statement_sqls
 
     if args.procs < 1:
         raise ReproError(f"--procs must be >= 1, got {args.procs}")
-    n = sum(
-        1 for rec in records
-        if rec.get("kind") == "statement"
-        and isinstance(rec.get("statement"), str)
-        and str(rec["statement"]).strip()
-    )
+    n = len(statement_sqls(records))
     faults_spec = args.faults
     if args.chaos:
         chaos_spec = _chaos_plan(n)
@@ -756,45 +768,29 @@ def _serve_procs(args, records, corrupt: int) -> int:
             budget=budget,
             max_retries=args.max_retries,
         )
+        config = ProcServeConfig(
+            shards=args.procs,
+            drain_grace_s=args.drain_grace_ms / 1e3,
+            state_dir=args.state_dir,
+            fsync_interval_ms=args.fsync_interval_ms,
+            wal_segment_max_bytes=args.wal_segment_bytes,
+            wal_snapshot_every=args.wal_snapshot_every,
+            **_admission_knobs(args),
+        )
         if args.chaos:
             # deterministic chaos: breakers and deadlines off (their
             # state depends on wall-clock completion order), admission
             # wide open, and a fast heartbeat so injected hangs are
             # detected in test time, not operator time
-            config = ProcServeConfig(
-                shards=args.procs,
+            config = dataclasses.replace(
+                config,
                 queue_limit=n + 1,
                 deadline_s=None,
-                max_retries=args.max_retries,
                 breaker=None,
                 heartbeat_interval_s=0.05,
                 heartbeat_timeout_s=0.5,
                 restart_backoff_base_s=0.05,
                 restart_backoff_cap_s=0.5,
-                drain_grace_s=args.drain_grace_ms / 1e3,
-                state_dir=args.state_dir,
-                fsync_interval_ms=args.fsync_interval_ms,
-                wal_segment_max_bytes=args.wal_segment_bytes,
-                wal_snapshot_every=args.wal_snapshot_every,
-            )
-        else:
-            config = ProcServeConfig(
-                shards=args.procs,
-                queue_limit=args.queue_limit,
-                deadline_s=(
-                    args.deadline_ms / 1e3
-                    if args.deadline_ms is not None else None
-                ),
-                max_retries=args.max_retries,
-                breaker=BreakerConfig(
-                    trip_after=args.trip_after,
-                    cooldown_s=args.cooldown_ms / 1e3,
-                ),
-                drain_grace_s=args.drain_grace_ms / 1e3,
-                state_dir=args.state_dir,
-                fsync_interval_ms=args.fsync_interval_ms,
-                wal_segment_max_bytes=args.wal_segment_bytes,
-                wal_snapshot_every=args.wal_snapshot_every,
             )
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
@@ -963,28 +959,9 @@ def _serve_procs(args, records, corrupt: int) -> int:
             f"statements without a terminal outcome: {dropped}"
         )
     if args.verify_sequential:
-        baseline = replay_concurrent(
-            records, _fresh_replay_explorer(args), concurrency=1
-        )
-        mismatches = baseline.mismatches(report)
-        if mismatches:
-            for index, seq, conc in mismatches:
-                print(
-                    f"wrong answer at statement #{index}: "
-                    f"sequential={seq} procs={conc}",
-                    file=sys.stderr,
-                )
-            failures.append(
-                f"{len(mismatches)} digest mismatch(es) vs the "
-                "sequential replay"
-            )
-        else:
-            print(
-                f"verified: {len(report.results)} statement(s) "
-                "byte-identical to the sequential replay",
-                # keep --json stdout machine-parseable
-                file=sys.stderr if args.json else sys.stdout,
-            )
+        failure = _verify_sequential(args, records, report, "procs")
+        if failure:
+            failures.append(failure)
     slo_failure = _check_slos(
         args, supervisor.telemetry.cluster_registry().snapshot()
     )

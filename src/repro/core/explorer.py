@@ -305,11 +305,7 @@ class DBExplorer:
         degradations: List[str] = []
         if report is not None:
             if report.profile is not None:
-                phases_ms = {
-                    "compare_attrs": report.profile.compare_attrs_s * 1e3,
-                    "iunits": report.profile.iunits_s * 1e3,
-                    "others": report.profile.others_s * 1e3,
-                }
+                phases_ms = report.profile.phases_ms()
             degradations = [str(d) for d in report.degradations]
             if report.trace is not None:
                 rows = report.trace.attrs.get("rows_in")

@@ -69,6 +69,14 @@ class BuildProfile:
         finally:
             self.record(bucket, time.perf_counter() - start)
 
+    def phases_ms(self) -> Dict[str, float]:
+        """The three buckets in milliseconds (a worklog's ``phases_ms``)."""
+        return {
+            "compare_attrs": self.compare_attrs_s * 1e3,
+            "iunits": self.iunits_s * 1e3,
+            "others": self.others_s * 1e3,
+        }
+
     def as_dict(self) -> Dict[str, float]:
         """All buckets plus the total, as a plain dict."""
         out = {

@@ -143,8 +143,8 @@ class CircuitBreaker:
         this fixes — a cancelled probe releases the probe slot and the
         breaker **stays half-open** instead of latching back to open
         with a fresh cooldown.  The next arrival becomes the new probe.
-        (Deadline-triggered cancellations do not come here; the
-        executor routes them to :meth:`on_failure` — blowing the
+        (Deadline-triggered cancellations do not come here;
+        :meth:`settle` routes them to :meth:`on_failure` — blowing the
         serving deadline is precisely the unhealth the breaker exists
         to detect.)
         """
@@ -165,6 +165,24 @@ class CircuitBreaker:
                 if self._failures >= self.config.trip_after:
                     self._transition(BreakerState.OPEN)
                     self._opened_at = self._now()
+
+    def settle(
+        self, status: str, cancel_reason: Optional[str], probe: bool = False
+    ) -> None:
+        """Record one finished build from its worklog ``status``.
+
+        The one settlement rule both serving modes use: ``ok`` (plain
+        or degraded — the ladder did its job) is a success; a
+        cancellation for any reason but the deadline (client gone,
+        drain) is inconclusive; everything else, deadline blowouts
+        included, counts against the dataset.
+        """
+        if status == "ok":
+            self.on_success(probe=probe)
+        elif status == "cancelled" and "deadline" not in (cancel_reason or ""):
+            self.on_cancelled(probe=probe)
+        else:
+            self.on_failure(probe=probe)
 
     # -- internals (call with self._lock held) -----------------------------
 

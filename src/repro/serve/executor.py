@@ -34,6 +34,12 @@ that ran; the executor writes it for statements that never reached the
 explorer: admission rejections, gate failures, cancellations while
 still queued).
 
+Everything around execution — opening and rejecting tickets, the
+attempt loop, breaker settlement and outcome accounting — is written
+once here and shared with the multi-process supervisor
+(:class:`ServingCore`, :func:`run_attempts`, and
+:meth:`~repro.serve.breaker.CircuitBreaker.settle`).
+
 Fault sites consulted here (see :mod:`repro.robustness.faults`):
 ``serve.queue_full`` forces an admission rejection even when the queue
 has room; ``serve.slow_worker`` stalls (``sleep``) or crashes
@@ -53,6 +59,7 @@ from typing import (
     Dict,
     List,
     Optional,
+    Protocol,
     Union,
 )
 
@@ -75,9 +82,13 @@ from repro.robustness.faults import NO_FAULTS, FaultInjector
 from repro.serve.breaker import BreakerBoard, BreakerConfig
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids serve<->core cycle
-    from repro.core.explorer import DBExplorer
+    from repro.core.explorer import DBExplorer, Session
+    from repro.robustness.report import BuildReport
 
-__all__ = ["ServeConfig", "SessionExecutor", "StatementTicket", "OUTCOMES"]
+__all__ = [
+    "ServeConfig", "SessionExecutor", "StatementTicket", "OUTCOMES",
+    "ServingCore", "Attempts", "run_attempts", "backoff_s",
+]
 
 OUTCOMES = ("ok", "degraded", "rejected", "failed")
 """Every ticket ends in exactly one of these terminal outcomes."""
@@ -195,17 +206,17 @@ class StatementTicket:
         self.error: Optional[BaseException] = None
         self.status: Optional[str] = None
         self.outcome: Optional[str] = None
-        # set by the multi-process supervisor, whose workers reduce
-        # results to JSON digest payloads before they cross the pipe
-        # (the thread executor leaves these unset and callers fall back
-        # to ``result`` / the session's last report)
+        # the degradation rungs and deterministic work counters of the
+        # build this statement ran, stamped when it executed (None when
+        # it never reached dbx.execute): thread mode stamps them from
+        # run_attempts, proc mode from the worker's response
         self.degradations: Optional[List[str]] = None
+        self.work: Optional[Dict[str, int]] = None
+        # set by the multi-process supervisor only, whose workers reduce
+        # results to JSON digest payloads before they cross the pipe
+        # (thread-mode callers digest ``result`` themselves)
         self.result_payload: object = None
         self.has_result_payload = False
-        # deterministic work counters of the execution (proc mode: the
-        # worker ships them with the response; thread mode leaves this
-        # None and callers read the session's last_work)
-        self.work: Optional[Dict[str, int]] = None
         self.proc_attempts = 0                # resubmits after worker deaths
         self._done = threading.Event()
         self._callbacks: List[Callable[["StatementTicket"], None]] = []
@@ -259,7 +270,308 @@ class StatementTicket:
         )
 
 
-class SessionExecutor:
+class RetryPolicy(Protocol):
+    """The transient-retry knobs :class:`ServeConfig` and the process
+    workers' ``WorkerSpec`` both carry (same names, same meaning)."""
+
+    max_retries: int
+    backoff_base_s: float
+    backoff_cap_s: float
+    retry_jitter_seed: int
+
+
+def backoff_s(policy: RetryPolicy, index: int, attempt: int) -> float:
+    """The sleep after failed attempt ``attempt`` of statement ``index``.
+
+    ``min(cap, base * 2**attempt)`` scaled by a deterministic jitter in
+    ``[0.5, 1.0)`` seeded from ``(retry_jitter_seed, index, attempt)``,
+    so reruns back off identically in either serving mode.
+    """
+    base = min(
+        policy.backoff_cap_s, policy.backoff_base_s * (2.0 ** attempt)
+    )
+    rng = random.Random(
+        policy.retry_jitter_seed * 1_000_003 + index * 1_009 + attempt
+    )
+    return base * (0.5 + rng.random() / 2.0)
+
+
+@dataclass
+class Attempts:
+    """What :func:`run_attempts` reports about one statement.
+
+    ``executed`` says whether the final attempt reached
+    ``dbx.execute`` (which then wrote the statement's worklog record);
+    ``report`` is the build report *this* execution produced, if any;
+    ``work`` its work counters, ``None`` unless it executed.
+    """
+
+    result: object
+    error: Optional[BaseException]
+    attempts: int
+    elapsed_s: float
+    executed: bool
+    report: Optional["BuildReport"]
+    work: Optional[Dict[str, int]]
+
+    @property
+    def status(self) -> str:
+        """The worklog status of the final attempt."""
+        return _status_of(self.error)
+
+    @property
+    def degradations(self) -> List[str]:
+        """The degradation rungs of this execution's build."""
+        if self.report is None:
+            return []
+        return [str(d) for d in self.report.degradations]
+
+    @property
+    def degraded(self) -> bool:
+        """True when the statement succeeded on a degraded build."""
+        return (
+            self.error is None
+            and self.report is not None
+            and self.report.degraded
+        )
+
+
+def run_attempts(
+    dbx: "DBExplorer",
+    sql: str,
+    session: "Session",
+    cancel: CancelToken,
+    faults: FaultInjector,
+    budget: Optional[Budget],
+    policy: RetryPolicy,
+    index: int,
+    sleep: Callable[[float], None] = time.sleep,
+    now: Callable[[], float] = time.monotonic,
+) -> Attempts:
+    """Execute one statement under the transient-retry policy.
+
+    The attempt loop of both serving modes.  Each attempt checks
+    ``cancel``, consults the ``serve.slow_worker`` fault site (``sleep``
+    stalls the worker so a deadline can trip; an error kind simulates a
+    worker crash the retries must absorb), checks ``cancel`` again and
+    runs ``dbx.execute``.  Transient errors are retried after
+    :func:`backoff_s` while attempts remain and the token is live; a
+    cancellation and every other error end the loop at once.
+    """
+    report_before = session.last_report
+    start = now()
+    tries = policy.max_retries + 1
+    result: object = None
+    error: Optional[BaseException] = None
+    for attempt in range(tries):
+        executed = False
+        try:
+            cancel.raise_if_cancelled()
+            faults.fire("serve.slow_worker")
+            cancel.raise_if_cancelled()
+            executed = True
+            result = dbx.execute(
+                sql, session=session, cancel=cancel, budget=budget,
+                faults=faults,
+            )
+            error = None
+            break
+        except QueryCancelledError as exc:
+            error = exc
+            break
+        except _TRANSIENT_ERRORS as exc:
+            error = exc
+            if attempt + 1 >= tries or cancel.cancelled:
+                break
+            sleep(backoff_s(policy, index, attempt))
+        # not swallowed: the error becomes the statement's terminal
+        # state, which the caller records and reports
+        # repro-lint: ignore[RL004]
+        except BaseException as exc:
+            error = exc
+            break
+    report = session.last_report
+    return Attempts(
+        result=result,
+        error=error,
+        attempts=attempt + 1,
+        elapsed_s=now() - start,
+        executed=executed,
+        report=report if report is not report_before else None,
+        work=(
+            dict(session.last_work)
+            if executed and session.last_work else None
+        ),
+    )
+
+
+def _outcome_of(status: str, degraded: bool) -> str:
+    if status != "ok":
+        return "failed"
+    return "degraded" if degraded else "ok"
+
+
+class ServingCore:
+    """The statement lifecycle both serving modes share.
+
+    :class:`SessionExecutor` (threads) and
+    :class:`~repro.serve.proc.supervisor.ProcSupervisor` (worker
+    processes) differ in where a statement runs; what happens around
+    it is written once, here: opening a ticket, admission rejection,
+    outcome accounting and the terminal worklog record.  A subclass
+    provides ``config`` (with ``queue_limit`` and ``deadline_s``),
+    ``_lock``, ``_metrics``, ``_now``, ``_breakers``, ``_worklog`` and
+    the ``_submitted`` counter, plus the ``*_locked`` hooks below.
+    """
+
+    def _check_open_locked(self) -> None:
+        """Raise :class:`ServeError` once statements are refused."""
+        raise NotImplementedError
+
+    def _retry_after_locked(self) -> float:
+        """The Retry-After estimate a rejection carries."""
+        raise NotImplementedError
+
+    def _count_completion(self, shard: Optional[int]) -> None:
+        """Backend-specific conservation counters (none for threads)."""
+
+    def run(
+        self,
+        sql: str,
+        session: str = "default",
+        timeout: Optional[float] = None,
+    ) -> StatementTicket:
+        """Submit and wait: the one-call convenience wrapper."""
+        ticket = self.submit(sql, session=session)
+        ticket.wait(timeout)
+        return ticket
+
+    def breaker_states(self) -> Dict[str, str]:
+        """Breaker key -> state name (empty when disabled)."""
+        if self._breakers is None:
+            return {}
+        return self._breakers.states()
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _open_ticket(
+        self,
+        sql: str,
+        session: str,
+        faults: Optional[FaultInjector],
+        fault_index: Optional[int],
+        base_faults: Optional[FaultInjector],
+    ) -> StatementTicket:
+        """Number a new ticket and consult the ``serve.queue_full`` site.
+
+        Without an explicit ``faults`` the ticket gets ``base_faults``
+        forked by ``fault_index`` (default: the ticket index), so
+        counting faults never race across concurrent statements.
+        """
+        with self._lock:
+            self._check_open_locked()
+            index = self._submitted
+            self._submitted += 1
+        if faults is None:
+            faults = NO_FAULTS if base_faults is None else base_faults.fork(
+                fault_index if fault_index is not None else index
+            )
+        deadline_at = (
+            self._now() + self.config.deadline_s
+            if self.config.deadline_s is not None else None
+        )
+        ticket = StatementTicket(index, sql, session, faults, deadline_at)
+        # the serve.queue_full fault site: a planned error here forces
+        # the rejection path even with a roomy queue
+        try:
+            faults.fire("serve.queue_full")
+        # _reject always raises OverloadedError (with this fault as
+        # context), so nothing is swallowed here
+        # repro-lint: ignore[RL004]
+        except Exception as exc:
+            with self._lock:
+                retry_after = self._retry_after_locked()
+            self._reject(ticket, retry_after, f"injected overload: {exc}")
+        return ticket
+
+    def _reject(
+        self,
+        ticket: StatementTicket,
+        retry_after_s: float,
+        reason: Optional[str] = None,
+    ) -> None:
+        """Finish ``ticket`` as rejected and raise its OverloadedError."""
+        error = OverloadedError(
+            reason or (
+                f"admission queue full "
+                f"({self.config.queue_limit} waiting)"
+            ),
+            retry_after_s=retry_after_s,
+        )
+        self._metrics.counter("serve.rejected").inc()
+        try:
+            ticket.kind = statement_kind(parse(ticket.sql))
+        except ReproError:
+            ticket.kind = "invalid"
+        self._complete(ticket, "rejected", "rejected", error=error)
+        raise error
+
+    def _complete(
+        self,
+        ticket: StatementTicket,
+        outcome: str,
+        status: str,
+        result: Optional[object] = None,
+        error: Optional[BaseException] = None,
+        elapsed_s: Optional[float] = None,
+        shard: Optional[int] = None,
+        log: bool = True,
+        record: Optional[Dict[str, object]] = None,
+    ) -> None:
+        """Count, log and finish one ticket: its only terminal path.
+
+        Every statement the server numbered — rejected, failed at the
+        gate, or executed — passes here exactly once, so
+        ``serve.statements.*`` sums to the statement count in either
+        serving mode.  ``elapsed_s`` is the execution time; statements
+        that never reached execution pass ``None`` and stay out of
+        ``serve.latency.*``.  ``log`` writes the worklog record (with
+        ``record`` as extra fields) for statements ``dbx.execute`` did
+        not log itself.
+        """
+        metrics = self._metrics
+        metrics.counter(f"serve.outcome.{outcome}").inc()
+        metrics.counter(f"serve.statements.{status}").inc()
+        if status == "cancelled":
+            metrics.counter("serve.cancelled").inc()
+        if ticket.attempts > 1:
+            metrics.counter("serve.retries").inc(ticket.attempts - 1)
+        if elapsed_s is not None:
+            metrics.histogram(
+                f"serve.latency.{ticket.kind or 'invalid'}"
+            ).observe(elapsed_s)
+        self._count_completion(shard)
+        if log and self._worklog.enabled:
+            fields: Dict[str, object] = {
+                "error": (
+                    f"{type(error).__name__}: {error}"
+                    if error is not None else None
+                ),
+            }
+            fields.update(record or {})
+            self._worklog.statement(
+                ticket.sql, ticket.kind or "invalid", status,
+                (elapsed_s or 0.0) * 1e3, session=ticket.session,
+                **fields,
+            )
+        ticket._finish(outcome, status, result=result, error=error)
+
+
+class SessionExecutor(ServingCore):
     """Bounded-admission thread pool executing statements through ``dbx``.
 
     >>> dbx = DBExplorer()
@@ -314,6 +626,10 @@ class SessionExecutor:
             )
             self._watchdog.start()
 
+    @property
+    def _worklog(self):
+        return self.dbx.worklog
+
     # -- admission ---------------------------------------------------------
 
     def submit(
@@ -340,52 +656,20 @@ class SessionExecutor:
         *admitted then failed immediately* on the caller thread — they
         get a ticket and a worklog record but never cost a pool thread.
         """
-        with self._lock:
-            if self._closed:
-                raise ServeError("executor is closed")
-            index = self._submitted
-            self._submitted += 1
-        if faults is not None:
-            injector = faults
-        elif self.dbx.faults is not None:
-            injector = self.dbx.faults.fork(
-                fault_index if fault_index is not None else index
-            )
-        else:
-            injector = NO_FAULTS
-        deadline_at = (
-            self._now() + self.config.deadline_s
-            if self.config.deadline_s is not None else None
+        ticket = self._open_ticket(
+            sql, session, faults, fault_index, self.dbx.faults
         )
-        ticket = StatementTicket(index, sql, session, injector, deadline_at)
-
-        # the serve.queue_full fault site: a planned error here forces
-        # the rejection path even with a roomy queue
-        try:
-            injector.fire("serve.queue_full")
-        # _reject always raises OverloadedError (with this fault as
-        # context), so nothing is swallowed here
-        # repro-lint: ignore[RL004]
-        except Exception as exc:
-            self._reject(ticket, f"injected overload: {exc}")
-
         with self._lock:
             capacity = self.config.workers + self.config.queue_limit
-            if self._queued + self._active >= capacity:
+            full = self._queued + self._active >= capacity
+            if full:
                 retry_after = self._retry_after_locked()
-                rejected = True
             else:
                 self._queued += 1
-                self._outstanding[index] = ticket
-                rejected = False
+                self._outstanding[ticket.index] = ticket
                 depth = self._queued
-        if rejected:
-            self._reject(
-                ticket,
-                f"admission queue full "
-                f"({self.config.queue_limit} waiting)",
-                retry_after,
-            )
+        if full:
+            self._reject(ticket, retry_after)
         self._metrics.gauge("serve.queue_depth").set(float(depth))
         self._metrics.counter("serve.admitted").inc()
 
@@ -401,48 +685,16 @@ class SessionExecutor:
         except (ParseError, AnalysisError) as exc:
             with self._lock:
                 self._queued -= 1
-                self._outstanding.pop(index, None)
-            status = (
-                "parse_error" if isinstance(exc, ParseError)
-                else "analysis_error"
-            )
-            self._log_unexecuted(ticket, status, exc, 0.0)
-            self._metrics.counter("serve.outcome.failed").inc()
-            ticket._finish("failed", status, error=exc)
+                self._outstanding.pop(ticket.index, None)
+            self._complete(ticket, "failed", _status_of(exc), error=exc)
             return ticket
 
         self._queue.put(ticket)
         return ticket
 
-    def run(
-        self,
-        sql: str,
-        session: str = "default",
-        timeout: Optional[float] = None,
-    ) -> StatementTicket:
-        """Submit and wait: the one-call convenience wrapper."""
-        ticket = self.submit(sql, session=session)
-        ticket.wait(timeout)
-        return ticket
-
-    def _reject(
-        self,
-        ticket: StatementTicket,
-        reason: str,
-        retry_after_s: Optional[float] = None,
-    ) -> None:
-        if retry_after_s is None:
-            with self._lock:
-                retry_after_s = self._retry_after_locked()
-        error = OverloadedError(reason, retry_after_s=retry_after_s)
-        self._metrics.counter("serve.rejected").inc()
-        try:
-            ticket.kind = statement_kind(parse(ticket.sql))
-        except ReproError:
-            ticket.kind = "invalid"
-        self._log_unexecuted(ticket, "rejected", error, 0.0)
-        ticket._finish("rejected", "rejected", error=error)
-        raise error
+    def _check_open_locked(self) -> None:
+        if self._closed:
+            raise ServeError("executor is closed")
 
     def _retry_after_locked(self) -> float:
         # a Retry-After guess: how long until a slot frees up, assuming
@@ -478,155 +730,46 @@ class SessionExecutor:
                 )
 
     def _run_ticket(self, ticket: StatementTicket) -> None:
-        config = self.config
         breaker = None
-        probe = False
         budget_override: Optional[Budget] = None
         if self._breakers is not None and ticket.dataset is not None:
             breaker = self._breakers.breaker(ticket.dataset)
-            full_pipeline, probe = breaker.allow()
-            ticket.probe = probe
+            full_pipeline, ticket.probe = breaker.allow()
             if not full_pipeline:
                 # breaker open: short-circuit onto the degradation
                 # ladder instead of burning this thread on a dataset
                 # that keeps failing
                 ticket.short_circuited = True
-                budget_override = config.open_budget
+                budget_override = self.config.open_budget
                 self._metrics.counter("serve.breaker.short_circuit").inc()
 
-        session = self.dbx.session(ticket.session)
-        report_before = session.last_report
-        start = self._now()
-        attempts = config.max_retries + 1
-        error: Optional[BaseException] = None
-        result: Optional[object] = None
-        executed = False  # did dbx.execute run (and hence write the log)?
-        for attempt in range(attempts):
-            ticket.attempts = attempt + 1
-            executed = False
-            try:
-                if ticket.cancel.cancelled:
-                    ticket.cancel.raise_if_cancelled()
-                # the serve.slow_worker site: sleep stalls this worker
-                # (the watchdog then trips the deadline), an error kind
-                # simulates a worker crash the retries must absorb
-                ticket.faults.fire("serve.slow_worker")
-                if ticket.cancel.cancelled:
-                    ticket.cancel.raise_if_cancelled()
-                executed = True
-                result = self.dbx.execute(
-                    ticket.sql,
-                    session=session,
-                    cancel=ticket.cancel,
-                    budget=budget_override,
-                    faults=ticket.faults,
-                )
-                error = None
-                break
-            except QueryCancelledError as exc:
-                error = exc
-                break
-            except _TRANSIENT_ERRORS as exc:
-                error = exc
-                if attempt + 1 >= attempts or ticket.cancel.cancelled:
-                    break
-                self._metrics.counter("serve.retries").inc()
-                self._sleep(self._backoff_s(ticket.index, attempt))
-            # not swallowed: the error becomes the ticket's terminal
-            # state (status/outcome/worklog record) a few lines down
-            # repro-lint: ignore[RL004]
-            except BaseException as exc:
-                error = exc
-                break
-        elapsed = self._now() - start
+        run = run_attempts(
+            self.dbx, ticket.sql, self.dbx.session(ticket.session),
+            ticket.cancel, ticket.faults, budget_override, self.config,
+            ticket.index, sleep=self._sleep, now=self._now,
+        )
         with self._lock:
             self._latency_ewma_s = (
-                elapsed if self._latency_ewma_s == 0.0
-                else 0.8 * self._latency_ewma_s + 0.2 * elapsed
+                run.elapsed_s if self._latency_ewma_s == 0.0
+                else 0.8 * self._latency_ewma_s + 0.2 * run.elapsed_s
             )
-
         if breaker is not None:
-            # a degraded answer still counts as success — the ladder did
-            # its job; deadline blowouts and other failures count
-            # against the dataset; a cancellation for any *other* reason
-            # (client went away, drain) says nothing about the build's
-            # health, so it must not latch a half-open breaker back open
-            if error is None:
-                breaker.on_success(probe=probe)
-            elif isinstance(error, QueryCancelledError) and \
-                    "deadline" not in (ticket.cancel.reason or ""):
-                breaker.on_cancelled(probe=probe)
-            else:
-                breaker.on_failure(probe=probe)
-
-        report = session.last_report
-        # stamp the final attempt's work counters on the ticket *now*:
-        # session.last_work is per-session mutable state and a later
-        # statement on the same session would overwrite it before the
-        # caller gets around to reading this ticket
-        ticket.work = (
-            dict(session.last_work)
-            if executed and session.last_work else None
-        )
-        degraded = (
-            error is None
-            and (
-                ticket.short_circuited
-                or (
-                    report is not None
-                    and report is not report_before
-                    and report.degraded
-                )
-            )
-        )
-        if error is None:
-            status, outcome = "ok", ("degraded" if degraded else "ok")
-        else:
-            status = _status_of(error)
-            outcome = "failed"
-            if isinstance(error, QueryCancelledError):
-                self._metrics.counter("serve.cancelled").inc()
-        self._metrics.counter(f"serve.outcome.{outcome}").inc()
-        # the SLO layer's raw material: per-kind latency and per-status
-        # statement counts, same names in thread and proc serving modes
-        self._metrics.histogram(
-            f"serve.latency.{ticket.kind or 'invalid'}"
-        ).observe(elapsed)
-        self._metrics.counter(f"serve.statements.{status}").inc()
-        if error is not None and not executed:
-            # the failure happened before dbx.execute could write the
-            # worklog record (queued past the deadline, slow_worker
-            # fault) — the no-silent-drops property is ours to keep
-            self._log_unexecuted(ticket, status, error, elapsed * 1e3)
-        ticket._finish(outcome, status, result=result, error=error)
-
-    def _backoff_s(self, index: int, attempt: int) -> float:
-        base = min(
-            self.config.backoff_cap_s,
-            self.config.backoff_base_s * (2.0 ** attempt),
-        )
-        rng = random.Random(
-            self.config.retry_jitter_seed * 1_000_003
-            + index * 1_009 + attempt
-        )
-        return base * (0.5 + rng.random() / 2.0)
-
-    def _log_unexecuted(
-        self,
-        ticket: StatementTicket,
-        status: str,
-        error: BaseException,
-        elapsed_ms: float,
-    ) -> None:
-        if not self.dbx.worklog.enabled:
-            return
-        self.dbx.worklog.statement(
-            ticket.sql,
-            ticket.kind or "invalid",
-            status,
-            elapsed_ms,
-            error=f"{type(error).__name__}: {error}",
-            session=ticket.session,
+            breaker.settle(run.status, ticket.cancel.reason, ticket.probe)
+        # stamp this execution's counters and rungs on the ticket now:
+        # the session's last_work / last_report are per-session mutable
+        # state a later statement on the same session would overwrite
+        ticket.attempts = run.attempts
+        ticket.work = run.work
+        ticket.degradations = run.degradations
+        self._complete(
+            ticket,
+            _outcome_of(run.status, ticket.short_circuited or run.degraded),
+            run.status, result=run.result, error=run.error,
+            elapsed_s=run.elapsed_s,
+            # dbx.execute logged what it ran; a failure before it was
+            # reached (queued past the deadline, slow_worker fault)
+            # leaves the no-silent-drops record to us
+            log=run.error is not None and not run.executed,
         )
 
     # -- watchdog ----------------------------------------------------------
@@ -647,12 +790,6 @@ class SessionExecutor:
                     self._metrics.counter("serve.deadline_tripped").inc()
 
     # -- introspection / shutdown ------------------------------------------
-
-    def breaker_states(self) -> Dict[str, str]:
-        """Dataset -> breaker state name (empty when disabled)."""
-        if self._breakers is None:
-            return {}
-        return self._breakers.states()
 
     def stats(self) -> Dict[str, Union[int, float]]:
         """A point-in-time snapshot of the executor's load."""
@@ -678,12 +815,6 @@ class SessionExecutor:
         self._stop.set()
         if self._watchdog is not None and wait:
             self._watchdog.join()
-
-    def __enter__(self) -> "SessionExecutor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
 
 
 def _breaker_key(stmt: object) -> Optional[str]:

@@ -68,11 +68,9 @@ from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from repro.errors import (
     DurabilityError,
-    OverloadedError,
     ParseError,
     QueryCancelledError,
     RecoveryError,
-    ReproError,
     ServeError,
     WorkerCrashError,
 )
@@ -92,14 +90,16 @@ from repro.query.ast import (
 )
 from repro.query.parser import parse
 from repro.robustness.budget import Budget
-from repro.robustness.faults import NO_FAULTS, FaultInjector
+from repro.robustness.faults import FaultInjector
 from repro.serve.breaker import BreakerBoard, BreakerConfig
 from repro.serve.durability.recovery import compact_journal, recover_state
 from repro.serve.durability.wal import WalWriter
 from repro.serve.executor import (
+    ServingCore,
     StatementTicket,
     _breaker_key,
     _default_open_budget,
+    _outcome_of,
 )
 from repro.serve.proc.protocol import (
     FRAME_BYE,
@@ -152,11 +152,6 @@ class ProcServeConfig:
     deadline_s:
         Per-statement wall-clock deadline from admission; the monitor
         trips the ticket's CancelToken and forwards a cancel frame.
-    max_retries / backoff_base_s / backoff_cap_s / retry_jitter_seed:
-        The **in-band** transient-retry policy, executed *inside* the
-        worker with semantics identical to the thread executor (same
-        jitter formula), so fault plans expire the same way in either
-        serving mode.
     proc_retries:
         How many times a statement is resubmitted after its worker
         died mid-execution before the ticket fails with
@@ -204,10 +199,6 @@ class ProcServeConfig:
     shards: int = 1
     queue_limit: int = 16
     deadline_s: Optional[float] = None
-    max_retries: int = 2
-    backoff_base_s: float = 0.02
-    backoff_cap_s: float = 0.5
-    retry_jitter_seed: int = 0
     proc_retries: int = 3
     restart_backoff_base_s: float = 0.05
     restart_backoff_cap_s: float = 2.0
@@ -235,8 +226,10 @@ class ProcServeConfig:
             raise ValueError(
                 f"deadline_s must be > 0, got {self.deadline_s}"
             )
-        if self.max_retries < 0 or self.proc_retries < 0:
-            raise ValueError("retry counts must be >= 0")
+        if self.proc_retries < 0:
+            raise ValueError(
+                f"proc_retries must be >= 0, got {self.proc_retries}"
+            )
         if self.heartbeat_timeout_s <= self.heartbeat_interval_s:
             raise ValueError(
                 "heartbeat_timeout_s must exceed heartbeat_interval_s"
@@ -380,7 +373,7 @@ class _WorkerHandle:
         return self.exitcode(timeout)
 
 
-class ProcSupervisor:
+class ProcSupervisor(ServingCore):
     """Dataset-sharded worker subprocesses behind the SessionExecutor API.
 
     >>> spec = WorkerSpec(dataset="usedcars", rows=2000, seed=7)
@@ -633,51 +626,15 @@ class ProcSupervisor:
         boundary as a live object, but forking by the same index from
         the same spec makes it behave as if it had.
         """
-        with self._lock:
-            if self._closed:
-                raise ServeError("supervisor is closed")
-            if self._draining:
-                raise ServeError("supervisor is draining")
-            if self._wal_failed:
-                raise DurabilityError(
-                    "the write-ahead log failed; this supervisor is "
-                    "fail-stopped (restart with a healthy --state-dir)"
-                )
-            index = self._submitted
-            self._submitted += 1
-        fidx = fault_index if fault_index is not None else index
-        if faults is not None:
-            injector = faults
-        elif self._faults is not None:
-            injector = self._faults.fork(fidx)
-        else:
-            injector = NO_FAULTS
-        deadline_at = (
-            self._now() + self.config.deadline_s
-            if self.config.deadline_s is not None else None
+        ticket = self._open_ticket(
+            sql, session, faults, fault_index, self._faults
         )
-        ticket = StatementTicket(index, sql, session, injector, deadline_at)
-
-        # parent-side parity with the thread executor's admission sites
-        try:
-            injector.fire("serve.queue_full")
-        # _reject always raises OverloadedError (with this fault as
-        # context), so nothing is swallowed here
-        # repro-lint: ignore[RL004]
-        except Exception as exc:
-            self._reject(ticket, f"injected overload: {exc}")
-
         with self._lock:
             capacity = len(self._shards) + self.config.queue_limit
-            rejected = len(self._tickets) >= capacity
-            outstanding = len(self._tickets)
-        if rejected:
-            self._reject(
-                ticket,
-                f"admission queue full "
-                f"({self.config.queue_limit} waiting)",
-                max(0.05, 0.1 * outstanding / len(self._shards)),
-            )
+            full = len(self._tickets) >= capacity
+            retry_after = self._retry_after_locked()
+        if full:
+            self._reject(ticket, retry_after)
         self._metrics.counter("serve.admitted").inc()
 
         # parse on the caller thread: a statement that cannot parse
@@ -687,18 +644,12 @@ class ProcSupervisor:
             stmt = parse(sql)
         except ParseError as exc:
             ticket.kind = "invalid"
-            self._log_ticket_record(
-                ticket, "parse_error", 0.0,
-                error=f"{type(exc).__name__}: {exc}",
-            )
-            self._metrics.counter("serve.outcome.failed").inc()
-            # conservation: never crossed a pipe, still counted once
-            self._metrics.counter("proc.unrouted.completed").inc()
-            self._metrics.counter("serve.statements.parse_error").inc()
-            ticket._finish("failed", "parse_error", error=exc)
+            self._complete(ticket, "failed", "parse_error", error=exc)
             return ticket
         ticket.kind = statement_kind(stmt)
         ticket.dataset = _breaker_key(stmt)
+        index = ticket.index
+        fidx = fault_index if fault_index is not None else index
 
         state = _TicketState(ticket)
         parts = self._route(stmt, sql, session)
@@ -721,37 +672,29 @@ class ProcSupervisor:
         self._pump()
         return ticket
 
-    def run(
-        self,
-        sql: str,
-        session: str = "default",
-        timeout: Optional[float] = None,
-    ) -> StatementTicket:
-        """Submit and wait: the one-call convenience wrapper."""
-        ticket = self.submit(sql, session=session)
-        ticket.wait(timeout)
-        return ticket
+    def _check_open_locked(self) -> None:
+        if self._closed:
+            raise ServeError("supervisor is closed")
+        if self._draining:
+            raise ServeError("supervisor is draining")
+        if self._wal_failed:
+            raise DurabilityError(
+                "the write-ahead log failed; this supervisor is "
+                "fail-stopped (restart with a healthy --state-dir)"
+            )
 
-    def _reject(
-        self,
-        ticket: StatementTicket,
-        reason: str,
-        retry_after_s: float = 0.1,
-    ) -> None:
-        error = OverloadedError(reason, retry_after_s=retry_after_s)
-        self._metrics.counter("serve.rejected").inc()
-        self._metrics.counter("proc.unrouted.completed").inc()
-        self._metrics.counter("serve.statements.rejected").inc()
-        try:
-            ticket.kind = statement_kind(parse(ticket.sql))
-        except ReproError:
-            ticket.kind = "invalid"
-        self._log_ticket_record(
-            ticket, "rejected", 0.0,
-            error=f"{type(error).__name__}: {error}",
-        )
-        ticket._finish("rejected", "rejected", error=error)
-        raise error
+    def _retry_after_locked(self) -> float:
+        return max(0.05, 0.1 * len(self._tickets) / len(self._shards))
+
+    def _count_completion(self, shard: Optional[int]) -> None:
+        # conservation counters: every statement is finalized exactly
+        # once, attributed to its primary part's shard (or, if it never
+        # crossed a pipe, to the unrouted leg) — these are parent-side,
+        # so they survive any number of worker deaths
+        self._metrics.counter(
+            "proc.unrouted.completed" if shard is None
+            else f"proc.s{shard}.completed"
+        ).inc()
 
     # -- routing -----------------------------------------------------------
 
@@ -1029,8 +972,7 @@ class ProcSupervisor:
                     self._shards[req.shard].pending.appendleft(req)
                     self._resubmits += 1
                     req.state.ticket.proc_attempts = max(
-                        getattr(req.state.ticket, "proc_attempts", 0),
-                        req.proc_attempt,
+                        req.state.ticket.proc_attempts, req.proc_attempt,
                     )
                 self._metrics.counter("proc.resubmits").inc()
             else:
@@ -1119,20 +1061,10 @@ class ProcSupervisor:
             f"proc.s{handle.shard}.latency"
         ).observe(float(payload.get("elapsed_ms") or 0.0) / 1e3)
         if req.breaker is not None:
-            status = str(payload.get("status") or "error")
-            if status == "ok":
-                req.breaker.on_success(probe=req.probe)
-            elif status == "cancelled":
-                reason = str(payload.get("cancel_reason") or "")
-                if "deadline" in reason:
-                    req.breaker.on_failure(probe=req.probe)
-                else:
-                    # cancelled-not-failed: the build's health is
-                    # unknown, so the probe slot frees without latching
-                    # the breaker open (the half-open race fix)
-                    req.breaker.on_cancelled(probe=req.probe)
-            else:
-                req.breaker.on_failure(probe=req.probe)
+            req.breaker.settle(
+                str(payload.get("status") or "error"),
+                str(payload.get("cancel_reason") or ""), req.probe,
+            )
         self._finish_part(req, payload)
         self._pump()
 
@@ -1207,10 +1139,6 @@ class ProcSupervisor:
         short_circuited = any(r.short_circuited for r in state.requests)
         ticket.short_circuited = short_circuited
         ticket.attempts = int(primary.get("attempts") or 1)
-        if ticket.attempts > 1:
-            self._metrics.counter("serve.retries").inc(
-                ticket.attempts - 1
-            )
         ticket.degradations = degradations
         ticket.result_payload = payload
         ticket.has_result_payload = True
@@ -1219,12 +1147,8 @@ class ProcSupervisor:
             {str(k): int(v) for k, v in raw_work.items()}
             if isinstance(raw_work, dict) else None
         )
-        if status == "ok":
-            degraded = short_circuited or bool(primary.get("degraded"))
-            outcome = "degraded" if degraded else "ok"
-            error: Optional[BaseException] = None
-        else:
-            outcome = "failed"
+        error: Optional[BaseException] = None
+        if status != "ok":
             exc = primary.get("_exception")
             if isinstance(exc, BaseException):
                 error = exc
@@ -1235,43 +1159,38 @@ class ProcSupervisor:
                         or ticket.cancel.reason or "cancelled"
                     )
                 )
-                self._metrics.counter("serve.cancelled").inc()
             else:
                 error = RemoteStatementError(
                     str(primary.get("error") or status), status=status
                 )
-        self._metrics.counter(f"serve.outcome.{outcome}").inc()
-        # conservation counters: every admitted statement is finalized
-        # exactly once, attributed to its primary part's shard — these
-        # are parent-side, so they survive any number of worker deaths
-        # (the unrouted leg is parse errors/rejections, in submit())
-        shard_idx = state.requests[state.primary_part].shard
-        self._metrics.counter(f"proc.s{shard_idx}.completed").inc()
-        self._metrics.histogram(
-            f"serve.latency.{ticket.kind or 'invalid'}"
-        ).observe(float(primary.get("elapsed_ms") or 0.0) / 1e3)
-        self._metrics.counter(f"serve.statements.{status}").inc()
-        self._log_ticket_record(
-            ticket, status, float(primary.get("elapsed_ms") or 0.0),
-            rows_out=rows_out,
-            pivot=primary.get("pivot"),
-            phases_ms=primary.get("phases_ms"),
-            degradations=degradations,
-            error=primary.get("error"),
-            work=ticket.work,
-            proc={
-                "shard": state.requests[state.primary_part].shard,
-                "incarnation": state.requests[
-                    state.primary_part
-                ].incarnation,
-                "proc_attempts": getattr(ticket, "proc_attempts", 0),
-                "cause": primary.get("proc_cause"),
-            },
-        )
-        ticket._finish(
-            outcome, status,
+        req = state.requests[state.primary_part]
+        pivot, phases_ms = primary.get("pivot"), primary.get("phases_ms")
+        self._complete(
+            ticket,
+            _outcome_of(
+                status, short_circuited or bool(primary.get("degraded"))
+            ),
+            status,
             result=explain_text if isinstance(explain_text, str) else None,
             error=error,
+            elapsed_s=float(primary.get("elapsed_ms") or 0.0) / 1e3,
+            shard=req.shard,
+            record={
+                "rows_out": rows_out,
+                "pivot": str(pivot) if pivot is not None else None,
+                "phases_ms": (
+                    phases_ms if isinstance(phases_ms, dict) else None
+                ),
+                "degradations": degradations,
+                "error": primary.get("error"),
+                "work": ticket.work,
+                "proc": {
+                    "shard": req.shard,
+                    "incarnation": req.incarnation,
+                    "proc_attempts": ticket.proc_attempts,
+                    "cause": primary.get("proc_cause"),
+                },
+            },
         )
 
     def _merge_payload(
@@ -1294,36 +1213,6 @@ class ProcSupervisor:
         return (
             primary.get("result_payload"),
             int(rows) if rows is not None else None,
-        )
-
-    def _log_ticket_record(
-        self,
-        ticket: StatementTicket,
-        status: str,
-        elapsed_ms: float,
-        rows_out: Optional[int] = None,
-        pivot: Optional[object] = None,
-        phases_ms: Optional[object] = None,
-        degradations: Optional[List[str]] = None,
-        error: Optional[object] = None,
-        work: Optional[Dict[str, int]] = None,
-        proc: Optional[Dict[str, object]] = None,
-    ) -> None:
-        if not self._worklog.enabled:
-            return
-        self._worklog.statement(
-            ticket.sql,
-            ticket.kind or "invalid",
-            status,
-            elapsed_ms,
-            rows_out=rows_out,
-            pivot=str(pivot) if pivot is not None else None,
-            phases_ms=phases_ms if isinstance(phases_ms, dict) else None,
-            degradations=degradations,
-            error=str(error) if error is not None else None,
-            session=ticket.session,
-            work=work,
-            proc=proc,
         )
 
     # -- cancellation ------------------------------------------------------
@@ -1454,12 +1343,6 @@ class ProcSupervisor:
         """Shut down promptly (a short-grace :meth:`drain`)."""
         self.drain(grace_s=1.0 if wait else 0.0)
 
-    def __enter__(self) -> "ProcSupervisor":
-        return self
-
-    def __exit__(self, *exc_info) -> None:
-        self.close()
-
     # -- introspection -----------------------------------------------------
 
     def wait_ready(self, timeout: float = 30.0) -> bool:
@@ -1477,51 +1360,14 @@ class ProcSupervisor:
             time.sleep(0.01)
         return False
 
-    def breaker_states(self) -> Dict[str, str]:
-        """Breaker key -> state name (empty when disabled)."""
-        if self._breakers is None:
-            return {}
-        return self._breakers.states()
-
     def stats(self) -> Dict[str, object]:
-        """A point-in-time snapshot of the supervision tree."""
+        """A point-in-time snapshot of the supervision tree.
+
+        The lock-protected core of :meth:`stats_snapshot`, without the
+        telemetry plane: per-shard state, load, deaths and WAL stats.
+        """
         # WAL stats are read before taking the supervisor lock: the
         # only sanctioned lock order is WAL -> supervisor (snapshot_cb)
-        wal = self._wal.stats() if self._wal is not None else None
-        with self._lock:
-            return {
-                "wal": wal,
-                "submitted": self._submitted,
-                "outstanding": len(self._tickets),
-                "pending": sum(len(s.pending) for s in self._shards),
-                "resubmits": self._resubmits,
-                "deaths": dict(sorted(self._deaths.items())),
-                "restart_delays": list(self._restart_delays),
-                "shards": [
-                    {
-                        "shard": s.index,
-                        "incarnation": (
-                            s.handle.incarnation
-                            if s.handle is not None else None
-                        ),
-                        "ready": (
-                            bool(s.handle.ready)
-                            if s.handle is not None else False
-                        ),
-                        "failures": s.failures,
-                        "journal": len(s.journal),
-                    }
-                    for s in self._shards
-                ],
-            }
-
-    def stats_snapshot(self) -> Dict[str, object]:
-        """The full ops snapshot: the ``repro stats`` / SIGUSR1 payload.
-
-        Embeds the complete cluster metrics snapshot, so a dumped file
-        is self-contained — ``repro stats FILE --slo SPEC`` can gate on
-        it offline (the CI warn-only check does exactly that).
-        """
         wal = self._wal.stats() if self._wal is not None else None
         with self._lock:
             shards = []
@@ -1543,16 +1389,27 @@ class ProcSupervisor:
                     ),
                     "journal": len(s.journal),
                 })
-            snap = {
+            return {
+                "wal": wal,
                 "submitted": self._submitted,
                 "outstanding": len(self._tickets),
                 "queue_depth": sum(len(s.pending) for s in self._shards),
                 "inflight": sum(s["inflight"] for s in shards),
                 "resubmits": self._resubmits,
                 "deaths": dict(sorted(self._deaths.items())),
+                "restart_delays": list(self._restart_delays),
                 "shards": shards,
             }
-        snap["wal"] = wal
+
+    def stats_snapshot(self) -> Dict[str, object]:
+        """The full ops snapshot: the ``repro stats`` / SIGUSR1 payload.
+
+        :meth:`stats` plus recovery, breaker and telemetry state.
+        Embeds the complete cluster metrics snapshot, so a dumped file
+        is self-contained — ``repro stats FILE --slo SPEC`` can gate on
+        it offline (the CI warn-only check does exactly that).
+        """
+        snap = self.stats()
         snap["recovery"] = self._recovery_info
         snap["breakers"] = self.breaker_states()
         snap["telemetry"] = self.telemetry.stats()

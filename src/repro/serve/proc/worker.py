@@ -15,8 +15,9 @@ process per shard with.  A worker:
 2. sends a ``ready`` frame and starts a **heartbeat thread** beating
    every ``heartbeat_interval_s`` — the supervisor's missed-heartbeat
    detector is the only way a *hung* (not dead) worker is caught;
-3. executes requests **serially** on the main thread with the same
-   in-band retry semantics as the thread executor (transient errors
+3. executes requests **serially** on the main thread through the
+   attempt loop the thread executor uses too
+   (:func:`~repro.serve.executor.run_attempts`: transient errors
    retried with deterministic backoff jitter, one forked fault injector
    persisting across attempts), while a **reader thread** keeps
    consuming frames so ``cancel`` can trip an in-flight statement's
@@ -47,23 +48,19 @@ from __future__ import annotations
 import ctypes
 import os
 import queue
-import random
 import signal
 import threading
 import time
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.errors import (
-    ConvergenceError,
-    QueryCancelledError,
-    ReproError,
-)
+from repro.errors import ReproError
 from repro.robustness.budget import Budget
 from repro.robustness.cancel import CancelToken
 from repro.robustness.faults import NO_FAULTS, FaultInjector
 from repro.obs.metrics import registry
 from repro.obs.tracer import Span, Tracer, epoch_anchor, span_to_wire
+from repro.serve.executor import run_attempts
 from repro.serve.proc.protocol import (
     FRAME_BYE,
     FRAME_CANCEL,
@@ -103,11 +100,6 @@ _DEFAULT_ROWS = {"usedcars": 40_000, "mushroom": 8_124}
 _TEL_MAX_SPANS = 128
 _TEL_MAX_EVENTS = 256
 
-# Mirrors the thread executor's transient set: injected crashes
-# (RuntimeError), convergence failures, I/O hiccups.
-_TRANSIENT_ERRORS = (ConvergenceError, RuntimeError, OSError)
-
-
 @dataclass(frozen=True)
 class WorkerSpec:
     """Everything a worker needs to rebuild its world after spawn.
@@ -129,8 +121,9 @@ class WorkerSpec:
         for unbudgeted); per-request overrides (a breaker's open
         budget) arrive on the request frame instead.
     max_retries / backoff_base_s / backoff_cap_s / retry_jitter_seed:
-        The in-band transient-retry policy, mirroring
-        :class:`~repro.serve.executor.ServeConfig`.
+        The in-band transient-retry policy, with the meaning of the
+        same :class:`~repro.serve.executor.ServeConfig` fields (both
+        feed :func:`~repro.serve.executor.run_attempts`).
     """
 
     dataset: str = "usedcars"
@@ -487,58 +480,18 @@ class _Worker:
         budget_override: Optional[Budget],
         fault_index: int,
     ) -> Dict[str, object]:
-        """One statement with thread-executor-identical retry semantics."""
+        """One statement through the shared attempt loop, as a response."""
         # lazy import: keeps worker import time (spawn latency) down and
         # avoids a module cycle through repro.serve.stress
-        from repro.core.explorer import _result_rows, _statement_status
+        from repro.core.explorer import _result_rows
         from repro.obs.worklog import statement_kind
         from repro.query.ast import CreateCadViewStatement
         from repro.query.parser import parse
         from repro.serve.stress import result_payload
 
-        sess = self.dbx.session(session)
-        report_before = sess.last_report
-        start = time.perf_counter()
-        attempts = self.spec.max_retries + 1
-        error: Optional[BaseException] = None
-        result: Optional[object] = None
-        for attempt in range(attempts):
-            try:
-                if token.cancelled:
-                    token.raise_if_cancelled()
-                injector.fire("serve.slow_worker")
-                if token.cancelled:
-                    token.raise_if_cancelled()
-                result = self.dbx.execute(
-                    sql, session=sess, cancel=token,
-                    budget=budget_override, faults=injector,
-                )
-                error = None
-                break
-            except QueryCancelledError as exc:
-                error = exc
-                break
-            except _TRANSIENT_ERRORS as exc:
-                error = exc
-                if attempt + 1 >= attempts or token.cancelled:
-                    break
-                time.sleep(self._backoff_s(fault_index, attempt))
-            # not swallowed: the error becomes the response's status
-            # and travels back to the supervisor verbatim
-            # repro-lint: ignore[RL004]
-            except BaseException as exc:
-                error = exc
-                break
-        elapsed_ms = (time.perf_counter() - start) * 1e3
-        report = sess.last_report
-        if report is report_before:
-            report = None
-        degradations = (
-            [str(d) for d in report.degradations]
-            if report is not None else []
-        )
-        degraded = (
-            error is None and report is not None and report.degraded
+        run = run_attempts(
+            self.dbx, sql, self.dbx.session(session), token, injector,
+            budget_override, self.spec, fault_index, now=time.perf_counter,
         )
         pivot = None
         try:
@@ -548,56 +501,41 @@ class _Worker:
         except ReproError:
             stmt = None
         phases_ms = None
-        if report is not None and report.profile is not None:
-            phases_ms = {
-                "compare_attrs": report.profile.compare_attrs_s * 1e3,
-                "iunits": report.profile.iunits_s * 1e3,
-                "others": report.profile.others_s * 1e3,
-            }
-        status = _statement_status(error)
+        if run.report is not None and run.report.profile is not None:
+            phases_ms = run.report.profile.phases_ms()
+        status = run.status
         kind = statement_kind(stmt)
         # process-local metrics: shipped to the supervisor as part of
         # the cumulative TELEMETRY snapshot, re-labeled per shard there
         reg = registry()
-        reg.histogram(f"worker.latency.{kind}").observe(elapsed_ms / 1e3)
+        reg.histogram(f"worker.latency.{kind}").observe(run.elapsed_s)
         reg.counter(f"worker.statements.{status}").inc()
         return {
             "status": status,
-            "degraded": degraded,
-            "degradations": degradations,
-            "result_payload": result_payload(result),
-            "rows_out": _result_rows(result),
+            "degraded": run.degraded,
+            "degradations": run.degradations,
+            "result_payload": result_payload(run.result),
+            "rows_out": _result_rows(run.result),
             "pivot": pivot,
             "phases_ms": phases_ms,
             # EXPLAIN renders worker-side (the plan/timings live here);
             # ship the text so the supervisor can return real phase
             # numbers instead of silently-zero parent-side timings
-            "explain_text": result if isinstance(result, str) else None,
+            "explain_text": (
+                run.result if isinstance(run.result, str) else None
+            ),
             "kind": kind,
             "error": (
-                f"{type(error).__name__}: {error}"
-                if error is not None else None
+                f"{type(run.error).__name__}: {run.error}"
+                if run.error is not None else None
             ),
             "cancel_reason": token.reason,
-            "attempts": attempt + 1,
-            "elapsed_ms": elapsed_ms,
+            "attempts": run.attempts,
+            "elapsed_ms": run.elapsed_s * 1e3,
             # deterministic work counters of the final attempt — exact
-            # integers, so the supervisor can log/ship them verbatim
-            "work": sess.last_work,
+            # integers, None when it never reached dbx.execute
+            "work": run.work,
         }
-
-    def _backoff_s(self, index: int, attempt: int) -> float:
-        # byte-for-byte the thread executor's jitter formula, so a
-        # transient retry waits identically in either serving mode
-        base = min(
-            self.spec.backoff_cap_s,
-            self.spec.backoff_base_s * (2.0 ** attempt),
-        )
-        rng = random.Random(
-            self.spec.retry_jitter_seed * 1_000_003
-            + index * 1_009 + attempt
-        )
-        return base * (0.5 + rng.random() / 2.0)
 
 
 # OpenBLAS exports its thread setter under the build's symbol prefix

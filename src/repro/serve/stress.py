@@ -77,6 +77,7 @@ __all__ = [
     "ConcurrentReplayReport",
     "replay_concurrent",
     "statement_scopes",
+    "statement_sqls",
     "result_payload",
 ]
 
@@ -294,6 +295,16 @@ class ConcurrentReplayReport:
         return "\n".join(lines)
 
 
+def statement_sqls(records: Iterable[Dict[str, object]]) -> List[str]:
+    """The non-empty statements of a workload log, in log order."""
+    return [
+        str(rec["statement"]) for rec in records
+        if rec.get("kind") == "statement"
+        and isinstance(rec.get("statement"), str)
+        and str(rec["statement"]).strip()
+    ]
+
+
 def replay_concurrent(
     records: Iterable[Dict[str, object]],
     dbx: Optional["DBExplorer"] = None,
@@ -331,12 +342,7 @@ def replay_concurrent(
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if executor is None and dbx is None:
         raise ValueError("need a dbx to build an executor around")
-    sqls = [
-        str(rec["statement"]) for rec in records
-        if rec.get("kind") == "statement"
-        and isinstance(rec.get("statement"), str)
-        and str(rec["statement"]).strip()
-    ]
+    sqls = statement_sqls(records)
     n = len(sqls)
     report = ConcurrentReplayReport(concurrency=concurrency)
     if n == 0:
@@ -395,7 +401,7 @@ def replay_concurrent(
         done = 0
         while done < n:
             i, ticket = finished.get()
-            results[i] = _result_of(i, sqls[i], ticket, rejections, dbx)
+            results[i] = _result_of(i, sqls[i], ticket, rejections)
             done += 1
             for j in dependents[i]:
                 unmet[j] -= 1
@@ -415,7 +421,6 @@ def _result_of(
     sql: str,
     ticket: Optional[StatementTicket],
     rejections: Dict[int, ServeError],
-    dbx: Optional["DBExplorer"],
 ) -> StatementResult:
     if ticket is None:
         error = rejections.get(index)
@@ -430,26 +435,14 @@ def _result_of(
             error=f"{type(error).__name__}: {error}"
             if error is not None else None,
         )
-    if getattr(ticket, "has_result_payload", False):
-        # a proc-mode ticket: the worker already reduced its result to
-        # the digest payload before it crossed the pipe, and the
-        # degradations (and work counters) travelled with it (the
-        # worker's session state is in another process)
-        degradations = list(ticket.degradations or [])
-        payload = ticket.result_payload
-        work = getattr(ticket, "work", None)
-    else:
-        session = dbx.session(ticket.session) if dbx is not None else None
-        report = session.last_report if session is not None else None
-        degradations = (
-            [str(d) for d in report.degradations]
-            if report is not None else []
-        )
-        payload = result_payload(ticket.result)
-        # the executor stamped the counters on the ticket at execution
-        # time; session.last_work would race with later statements on
-        # the same session
-        work = getattr(ticket, "work", None)
+    # both serving modes stamp degradations and work counters on the
+    # ticket at execution time; a proc-mode worker also reduced its
+    # result to the digest payload before it crossed the pipe
+    degradations = list(ticket.degradations or [])
+    payload = (
+        ticket.result_payload if ticket.has_result_payload
+        else result_payload(ticket.result)
+    )
     return StatementResult(
         index=index,
         statement=sql,
@@ -466,7 +459,7 @@ def _result_of(
             if ticket.error is not None else None
         ),
         attempts=ticket.attempts,
-        work=dict(work) if work else None,
+        work=dict(ticket.work) if ticket.work else None,
     )
 
 

@@ -17,7 +17,19 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.errors import QueryCancelledError, ServeError, WorkerCrashError
+from repro.core import DBExplorer
+from repro.dataset.generators import generate_usedcars
+from repro.errors import (
+    OverloadedError,
+    QueryCancelledError,
+    ServeError,
+    WorkerCrashError,
+)
+from repro.obs.metrics import MetricsRegistry
+from repro.obs.slo import evaluate_slos, parse_slos
+from repro.obs.worklog import NO_WORKLOG
+from repro.robustness import NO_FAULTS, CancelToken, FaultInjector
+from repro.serve import ServeConfig, SessionExecutor
 from repro.serve.proc import (
     PIPE_DROP_EXIT,
     ProcServeConfig,
@@ -25,6 +37,7 @@ from repro.serve.proc import (
     WorkerSpec,
     WORKER_CRASH_EXIT,
 )
+from repro.serve.proc.worker import _Worker
 
 ROWS = 400  # enough structure to build tiny CAD Views, fast to generate
 
@@ -324,6 +337,89 @@ class TestChaosDeterminism:
                 assert ticket.wait(120), "ticket never became terminal"
                 assert ticket.outcome in ("ok", "degraded", "failed")
             assert sup.chaos_stats()["wedged"] == 0
+
+
+STATEMENT_MIX = (
+    "SELECT Make FROM data LIMIT 2",
+    "SELEC nonsense FORM data",
+    "SELECT Price FROM data WHERE Price > 9000 AND Price < 5000",
+)
+
+
+def _drive_mix(server) -> int:
+    """The mix, then one injected admission rejection; returns the count."""
+    for sql in STATEMENT_MIX:
+        assert server.submit(sql).wait(60)
+    with pytest.raises(OverloadedError):
+        server.submit(
+            STATEMENT_MIX[0],
+            faults=FaultInjector.parse("serve.queue_full=crash*1"),
+        )
+    return len(STATEMENT_MIX) + 1
+
+
+def _counts(metrics: MetricsRegistry, prefix: str):
+    return {
+        name[len(prefix):]: int(value)
+        for name, value in metrics.snapshot()["counters"].items()
+        if name.startswith(prefix)
+    }
+
+
+class TestSharedLifecycle:
+    """Both serving modes run one statement lifecycle, so they count
+    alike: every statement, executed or not, lands in exactly one
+    ``serve.statements.<status>`` and ``serve.outcome.<outcome>``."""
+
+    def test_statement_counters_conserve_in_both_modes(self):
+        dbx = DBExplorer(worklog=NO_WORKLOG, faults=NO_FAULTS)
+        dbx.register("data", generate_usedcars(ROWS, seed=7))
+        threads = MetricsRegistry()
+        with SessionExecutor(
+            dbx, ServeConfig(workers=1, breaker=None), metrics=threads
+        ) as ex:
+            n = _drive_mix(ex)
+        procs = MetricsRegistry()
+        with ProcSupervisor(_spec(), _config(), metrics=procs) as sup:
+            assert sup.wait_ready(60)
+            assert _drive_mix(sup) == n
+        statuses = _counts(threads, "serve.statements.")
+        assert statuses == {
+            "ok": 1, "parse_error": 1, "analysis_error": 1, "rejected": 1,
+        }
+        assert _counts(procs, "serve.statements.") == statuses
+        for metrics in (threads, procs):
+            assert sum(_counts(metrics, "serve.outcome.").values()) == n
+            (rate,) = evaluate_slos(
+                parse_slos("*:error_rate<=1.0"), metrics.snapshot()
+            ).results
+            assert rate.samples == n
+            assert rate.observed == pytest.approx(3 / n)
+
+    def test_unexecuted_statement_ships_no_stale_work(self):
+        worker = _Worker(
+            _spec(rows=200), None, 0, 0, [], heartbeat_interval_s=1.0
+        )
+        ran = worker._execute(
+            "SELECT Make FROM data LIMIT 2", "s", NO_FAULTS,
+            CancelToken(), None, 0,
+        )
+        assert ran["status"] == "ok" and ran["work"]
+        cancelled = CancelToken()
+        cancelled.cancel("client went away")
+        never_ran = worker._execute(
+            "SELECT Price FROM data", "s", NO_FAULTS, cancelled, None, 1,
+        )
+        assert never_ran["status"] == "cancelled"
+        assert never_ran["work"] is None
+        crashed = worker._execute(
+            "SELECT Price FROM data", "s",
+            FaultInjector.parse("serve.slow_worker=crash*"),
+            CancelToken(), None, 2,
+        )
+        assert crashed["status"] == "error"
+        assert crashed["attempts"] == worker.spec.max_retries + 1
+        assert crashed["work"] is None
 
 
 class TestExitCodes:

@@ -1,16 +1,19 @@
 """Unit tests for the concurrent serving core (repro.serve).
 
 Covers the breaker state machine transition-by-transition with an
-injected clock, the executor's admission/rejection/cancellation/retry
-paths, and — as a hypothesis property — the terminal-outcome contract:
+injected clock, the attempt loop both serving modes share (a fake
+explorer and an injected sleep), the executor's
+admission/rejection/cancellation/retry paths, and — as a hypothesis property — the terminal-outcome contract:
 every admitted statement ends in exactly one of the four outcomes and
 leaves a workload-log record behind.
 """
 
 from __future__ import annotations
 
+import random
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -19,13 +22,15 @@ from hypothesis import strategies as st
 from repro.core import DBExplorer
 from repro.dataset.generators import generate_usedcars
 from repro.errors import (
+    CADViewError,
+    ConvergenceError,
     OverloadedError,
     QueryCancelledError,
     ServeError,
 )
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.worklog import NO_WORKLOG, WorkLogWriter, read_worklog
-from repro.robustness import FaultInjector
+from repro.robustness import NO_FAULTS, Budget, CancelToken, FaultInjector
 from repro.serve import (
     BreakerConfig,
     BreakerState,
@@ -34,7 +39,7 @@ from repro.serve import (
     SessionExecutor,
 )
 from repro.serve.breaker import BreakerBoard
-from repro.serve.executor import OUTCOMES
+from repro.serve.executor import OUTCOMES, run_attempts
 
 
 @pytest.fixture(scope="module")
@@ -253,6 +258,32 @@ class TestCircuitBreaker:
         assert snap["counters"]["serve.breaker.data.open_to_half_open"] == 1
         assert snap["counters"]["serve.breaker.data.half_open_to_closed"] == 1
 
+    @pytest.mark.parametrize("status, reason, after", [
+        ("ok", None, BreakerState.CLOSED),
+        ("cancelled", "client went away", BreakerState.HALF_OPEN),
+        ("cancelled", "drain", BreakerState.HALF_OPEN),
+        ("cancelled", "deadline of 0.500s exceeded", BreakerState.OPEN),
+        ("build_failed", None, BreakerState.OPEN),
+        ("error", None, BreakerState.OPEN),
+    ])
+    def test_settle_maps_status_onto_the_probe(self, status, reason, after):
+        brk, clock = self._breaker(trip_after=1, cooldown_s=1.0)
+        brk.on_failure()
+        clock.advance(1.0)
+        _, probe = brk.allow()
+        assert probe
+        brk.settle(status, reason, probe=probe)
+        assert brk.state is after
+
+    def test_settle_counts_only_real_failures_while_closed(self):
+        brk, _ = self._breaker(trip_after=2)
+        brk.settle("cancelled", "drain")
+        brk.settle("cancelled", None)
+        assert brk.state is BreakerState.CLOSED
+        brk.settle("budget_exhausted", None)
+        brk.settle("cancelled", "deadline of 1.000s exceeded")
+        assert brk.state is BreakerState.OPEN
+
     def test_board_get_or_create_and_states(self):
         board = BreakerBoard(
             BreakerConfig(trip_after=1), now=FakeClock(),
@@ -262,6 +293,155 @@ class TestCircuitBreaker:
         assert board.breaker("data") is a
         board.breaker("other").on_failure()
         assert board.states() == {"data": "closed", "other": "open"}
+
+
+# -- the shared attempt loop ------------------------------------------------
+
+
+class FakeExplorer:
+    """Scripted ``execute``: each call pops the next outcome.
+
+    An exception instance is raised, anything else is returned; every
+    call stamps fresh work counters on the session, as the real
+    explorer does.
+    """
+
+    def __init__(self, *outcomes):
+        self.outcomes = list(outcomes)
+        self.calls = 0
+
+    def execute(self, sql, session, cancel, budget, faults):
+        self.calls += 1
+        session.last_work = {"work.query.rows_scanned": self.calls}
+        outcome = self.outcomes.pop(0)
+        if isinstance(outcome, BaseException):
+            raise outcome
+        return outcome
+
+
+def _session(**kwargs):
+    kwargs.setdefault("last_report", None)
+    kwargs.setdefault("last_work", None)
+    return SimpleNamespace(**kwargs)
+
+
+def _jitter_sleep(policy, index, attempt):
+    # the backoff formula written out independently of the code under
+    # test: capped exponential, times a jitter in [0.5, 1.0) seeded
+    # from (seed, statement index, attempt)
+    base = min(
+        policy.backoff_cap_s, policy.backoff_base_s * 2 ** attempt
+    )
+    seed = policy.retry_jitter_seed * 1_000_003 + index * 1_009 + attempt
+    return base * (0.5 + random.Random(seed).random() / 2)
+
+
+class TestAttemptLoop:
+    POLICY = ServeConfig(
+        max_retries=2, backoff_base_s=0.01, backoff_cap_s=0.015,
+        retry_jitter_seed=3,
+    )
+
+    def _run(self, dbx, session=None, cancel=None, faults=NO_FAULTS,
+             index=5):
+        sleeps = []
+        run = run_attempts(
+            dbx, "SELECT Make FROM data", session or _session(),
+            cancel or CancelToken(), faults, None, self.POLICY, index,
+            sleep=sleeps.append,
+        )
+        return run, sleeps
+
+    def test_transient_errors_retry_with_the_jitter_sleeps(self):
+        dbx = FakeExplorer(
+            ConvergenceError("no convergence"), RuntimeError("crash"), "rows"
+        )
+        run, sleeps = self._run(dbx, index=5)
+        assert (run.result, run.error, run.status) == ("rows", None, "ok")
+        assert run.attempts == 3 and dbx.calls == 3
+        assert run.executed
+        assert run.work == {"work.query.rows_scanned": 3}
+        assert sleeps == [
+            _jitter_sleep(self.POLICY, 5, 0),
+            _jitter_sleep(self.POLICY, 5, 1),
+        ]
+        # the cap bites on the second backoff (0.02 > 0.015), and the
+        # jitter keeps every sleep within [base / 2, base)
+        assert 0.005 <= sleeps[0] < 0.01
+        assert 0.0075 <= sleeps[1] < 0.015
+
+    def test_retries_exhausted_return_the_last_transient_error(self):
+        dbx = FakeExplorer(*(RuntimeError(f"crash {i}") for i in range(3)))
+        run, sleeps = self._run(dbx)
+        assert run.attempts == 3 and len(sleeps) == 2
+        assert str(run.error) == "crash 2"
+        assert run.status == "error"
+
+    @pytest.mark.parametrize("error, status", [
+        (QueryCancelledError("client went away"), "cancelled"),
+        (CADViewError("no pivot values"), "build_failed"),
+        (ValueError("bug"), "error"),
+    ])
+    def test_cancellation_and_other_errors_are_not_retried(
+        self, error, status
+    ):
+        dbx = FakeExplorer(error, "never reached")
+        run, sleeps = self._run(dbx)
+        assert run.error is error and run.status == status
+        assert run.attempts == 1 and dbx.calls == 1 and sleeps == []
+        # dbx.execute ran (and logged), so its counters belong here
+        assert run.executed and run.work is not None
+
+    def test_cancel_before_execution_reports_not_executed(self):
+        cancel = CancelToken()
+        cancel.cancel("queued past the deadline")
+        dbx = FakeExplorer("never reached")
+        # the session holds the previous statement's counters
+        session = _session(last_work={"work.query.rows_scanned": 500})
+        run, sleeps = self._run(dbx, session=session, cancel=cancel)
+        assert dbx.calls == 0 and sleeps == []
+        assert not run.executed and run.work is None
+        assert run.status == "cancelled" and run.attempts == 1
+
+    def test_slow_worker_crash_on_every_attempt_never_executes(self):
+        crashes = FaultInjector.parse("serve.slow_worker=crash*")
+        session = _session(last_work={"work.query.rows_scanned": 500})
+        run, sleeps = self._run(
+            FakeExplorer(), session=session, faults=crashes
+        )
+        assert run.attempts == 3 and len(sleeps) == 2
+        assert isinstance(run.error, RuntimeError)
+        assert not run.executed and run.work is None
+
+    def test_cancel_during_a_transient_failure_stops_retrying(self):
+        cancel = CancelToken()
+
+        class CancelThenCrash(FakeExplorer):
+            def execute(self, sql, session, cancel, budget, faults):
+                cancel.cancel("drain")
+                return super().execute(sql, session, cancel, budget, faults)
+
+        run, sleeps = self._run(
+            CancelThenCrash(RuntimeError("crash"), "rows"), cancel=cancel
+        )
+        assert run.attempts == 1 and sleeps == []
+        assert isinstance(run.error, RuntimeError)
+
+    def test_only_this_executions_report_counts(self):
+        stale = SimpleNamespace(degradations=["stale rung"], degraded=True)
+        fresh = SimpleNamespace(degradations=["sampled"], degraded=True)
+
+        class Builds(FakeExplorer):
+            def execute(self, sql, session, cancel, budget, faults):
+                session.last_report = fresh
+                return super().execute(sql, session, cancel, budget, faults)
+
+        run, _ = self._run(FakeExplorer("rows"), _session(last_report=stale))
+        assert run.report is None and run.degradations == []
+        assert not run.degraded
+        run, _ = self._run(Builds("view"), _session(last_report=stale))
+        assert run.report is fresh and run.degradations == ["sampled"]
+        assert run.degraded
 
 
 # -- the executor -----------------------------------------------------------
@@ -401,6 +581,26 @@ class TestSessionExecutor:
             ticket.wait(10.0)
         assert ticket.short_circuited
         assert ticket.outcome in ("degraded", "failed")
+
+    def test_tickets_stamp_only_their_own_degradations(self, cars):
+        dbx = DBExplorer(worklog=NO_WORKLOG, budget=Budget(max_rows=200))
+        dbx.register("data", cars)
+        with SessionExecutor(dbx, ServeConfig(workers=1)) as ex:
+            build = ex.run(
+                "CREATE CADVIEW v AS SET pivot = Make "
+                "SELECT Price, Mileage FROM data WHERE BodyType = SUV",
+                session="a",
+            )
+            # same session: the build's report is still its last_report
+            select = ex.run("SELECT Make FROM data LIMIT 1", session="a")
+        assert build.outcome == "degraded"
+        assert build.degradations == [
+            str(d) for d in build.result.report.degradations
+        ]
+        assert build.degradations  # the row cap forced a rung
+        assert select.outcome == "ok" and select.degradations == []
+        assert not build.has_result_payload
+        assert select.work == {"work.query.rows_scanned": len(cars)}
 
     def test_submit_after_close_raises(self, cars):
         dbx = _explorer(cars)
