@@ -24,7 +24,8 @@ from repro.core import DBExplorer
 from repro.core.optimizer import recommended_config
 from repro.dataset.generators import generate_usedcars
 from repro.errors import CADViewError, EmptyResultError
-from repro.obs import NO_WORKLOG, read_worklog, replay, work
+from repro.obs import NO_WORKLOG, read_worklog, work
+from repro.serve import replay_concurrent
 from repro.study import random_conjunctive_queries
 
 N_QUERIES = 25
@@ -102,9 +103,9 @@ def test_canned_session_replay(bench_emit):
         CADViewConfig(seed=session["seed"]), worklog=NO_WORKLOG
     )
     dbx.register("data", table)
-    report = replay(records, dbx)
+    report = replay_concurrent(records, dbx)
     n_stmts = sum(1 for r in records if r.get("kind") == "statement")
-    assert report.statements == n_stmts
+    assert len(report.results) == n_stmts
     assert report.skipped == 0
     # the canned session deliberately contains one analyzer-rejected
     # statement — replay measures it instead of dying on it
@@ -113,7 +114,7 @@ def test_canned_session_replay(bench_emit):
     print("\n" + report.render())
     bench_emit("session_replay", report.as_dict())
     # interactivity: even the heaviest statement kind stays sub-second
-    assert report.by_kind["create_cadview"]["p95_ms"] < 1_000
+    assert report.by_kind()["create_cadview"]["p95_ms"] < 1_000
 
 
 def test_bench_median_workload_state(benchmark, cars40k):

@@ -23,6 +23,7 @@ by ``gen-data`` (pass ``--csv`` with ``--dataset`` naming its schema).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from typing import Optional
@@ -54,7 +55,6 @@ from repro.obs import (
     parse_slos,
     read_worklog,
     registry,
-    replay,
     write_chrome_trace,
     write_metrics,
     write_stitched_chrome_trace,
@@ -199,26 +199,16 @@ def _write_obs(
     args,
     tracer: Optional[Tracer],
     worklog: Optional[WorkLogWriter] = None,
+    supervisor=None,
 ) -> None:
     """Flush ``--trace`` / ``--metrics`` / ``--worklog`` (also on failure).
 
     Every command that opens observability outputs calls this from a
     ``finally`` so artifacts survive *any* abort — including statements
     the semantic analyzer rejects before the first build span opens.
-    """
-    if getattr(args, "trace", None) and tracer is not None:
-        write_chrome_trace(tracer.finish(), args.trace)
-    if getattr(args, "metrics", None):
-        write_metrics(registry(), args.metrics)
-    if worklog is not None:
-        worklog.close()
-
-
-def _write_obs_procs(args, tracer, worklog, supervisor) -> None:
-    """Proc-mode artifact flush: stitched trace + cluster metrics.
 
     Under ``--procs`` the interesting spans and metrics live in worker
-    processes; the supervisor's :class:`~repro.obs.hub.TelemetryHub`
+    processes; the ``supervisor``'s :class:`~repro.obs.hub.TelemetryHub`
     holds the merged view, so ``--trace`` writes the *stitched*
     multi-process Chrome trace and ``--metrics`` the cluster-wide
     registry (supervisor + every worker incarnation + drop counters).
@@ -232,22 +222,16 @@ def _write_obs_procs(args, tracer, worklog, supervisor) -> None:
         else:
             write_chrome_trace(root, args.trace)
     if getattr(args, "metrics", None):
-        if supervisor is not None:
-            write_metrics(
-                supervisor.telemetry.cluster_registry(), args.metrics
-            )
-        else:
-            write_metrics(registry(), args.metrics)
+        write_metrics(
+            registry() if supervisor is None
+            else supervisor.telemetry.cluster_registry(),
+            args.metrics,
+        )
     if worklog is not None:
         worklog.close()
 
 
-def _check_slos(
-    args,
-    snapshot,
-    latency_prefix: str = "serve.latency.",
-    status_prefix: str = "serve.statements.",
-) -> Optional[str]:
+def _check_slos(args, snapshot) -> Optional[str]:
     """Evaluate ``--slo`` against a metrics snapshot, print the report.
 
     Returns a failure message when the check should fail the command
@@ -257,10 +241,7 @@ def _check_slos(
     if not specs:
         return None
     spec = ",".join(specs) if isinstance(specs, list) else specs
-    report = evaluate_slos(
-        parse_slos(spec), snapshot,
-        latency_prefix=latency_prefix, status_prefix=status_prefix,
-    )
+    report = evaluate_slos(parse_slos(spec), snapshot)
     print(report.render(), file=sys.stderr)
     if report.ok or getattr(args, "slo_warn", False):
         if not report.ok:
@@ -428,43 +409,38 @@ def _replay_defaults_from_header(args, records) -> None:
         args.budget_ms = None
 
 
-def _read_workload(args):
-    """Read the workload log, honoring ``--strict``.
+def _read_workload(args, path: str):
+    """Read the workload log at ``path``, honoring ``--strict``.
 
     Returns ``(records, corrupt_count)``.  Tolerant mode (the default)
     skips undecodable lines with a warning — a writer killed mid-write
     leaves a truncated trailing line, and a crash-recovery replay must
     not choke on the very record whose statement caused the crash.
-    ``--strict`` turns any such line into a usage error instead.
+    ``--strict`` turns any such line into a usage error instead.  The
+    log's session header then fills the dataset/rows/seed/csv flags
+    left unset.
     """
     corrupt: list = []
     strict = bool(getattr(args, "strict", False))
     try:
-        records = read_worklog(
-            args.worklog_file, strict=strict, corrupt_lines=corrupt
-        )
+        records = read_worklog(path, strict=strict, corrupt_lines=corrupt)
     except (ValueError, OSError) as exc:
-        raise ReproError(
-            f"cannot read worklog {args.worklog_file!r}: {exc}"
-        ) from exc
+        raise ReproError(f"cannot read worklog {path!r}: {exc}") from exc
     for lineno in corrupt:
         print(
-            f"warning: {args.worklog_file}:{lineno}: corrupt worklog "
-            "line skipped (pass --strict to fail instead)",
+            f"warning: {path}:{lineno}: corrupt worklog line skipped",
             file=sys.stderr,
         )
-    return records, len(corrupt)
-
-
-def _guard_self_replay(args) -> None:
+    _replay_defaults_from_header(args, records)
     # guard before _session_worklog opens the file: opening in append
     # mode would stamp a session header onto the log being replayed
     if getattr(args, "worklog", None) and os.path.abspath(args.worklog) \
-            == os.path.abspath(args.worklog_file):
+            == os.path.abspath(path):
         raise ReproError(
             "refusing to replay a worklog into itself; pass a different "
             "--worklog path"
         )
+    return records, len(corrupt)
 
 
 def cmd_replay(args) -> int:
@@ -475,50 +451,28 @@ def cmd_replay(args) -> int:
     replayed against 4k rows or under a tighter ``--budget-ms``.  A
     ``--budget-ms`` of 0 (or less) means "no budget".
 
-    ``--concurrency N`` switches to the dependency-aware concurrent
-    harness (:mod:`repro.serve.stress`) — even ``--concurrency 1`` uses
-    it, so serial and parallel replays share one code path and their
-    per-statement digests are comparable.  ``--verify-sequential`` then
-    replays once more at concurrency 1 against a fresh table and fails
-    (exit 2) on any digest mismatch: the zero-wrong-answers gate.
+    The log runs through the dependency-aware harness
+    (:mod:`repro.serve.stress`) with ``--concurrency`` workers
+    (default 1: sequential is concurrency 1, so every replay's
+    per-statement digests are comparable).  ``--verify-sequential``
+    then replays once more at concurrency 1 against a fresh table and
+    fails (exit 2) on any digest mismatch: the zero-wrong-answers gate.
     """
-    records, corrupt = _read_workload(args)
-    _replay_defaults_from_header(args, records)
-    _guard_self_replay(args)
-    if args.concurrency is not None:
-        return _replay_concurrent_cmd(args, records, corrupt)
-    tracer = _session_tracer(args)
-    worklog = _session_worklog(args)
-    try:
-        # NO_WORKLOG (not None) when --worklog is absent: a REPRO_WORKLOG
-        # environment variable must not append the replayed statements to
-        # the very log being read
-        dbx = _explorer(
-            args, tracer, worklog if worklog is not None else NO_WORKLOG
+    if args.concurrency < 1:
+        raise ReproError(
+            f"--concurrency must be >= 1, got {args.concurrency}"
         )
-        dbx.register("data", _load_table(args))
-        report = replay(records, dbx)
-        report.corrupt_lines = corrupt
-        _print_report(args, report)
-    finally:
-        _write_obs(args, tracer, worklog)
-    if report.statements == 0:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
-        return EXIT_USAGE
-    slo_failure = _check_slos(
-        args, report.registry.snapshot(),
-        latency_prefix="replay.latency.",
-        status_prefix="replay.statements.",
-    )
-    if slo_failure:
-        print(f"error: {slo_failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
+    records, corrupt = _read_workload(args, args.worklog_file)
+    return _replay_threads(args, records, corrupt, args.concurrency)
 
 
 def _fresh_replay_explorer(args, tracer=None, worklog=None):
-    """A configured explorer with the replay table freshly loaded."""
+    """A configured explorer with the replay table freshly loaded.
+
+    ``NO_WORKLOG`` (not None) when ``--worklog`` is absent: a
+    ``REPRO_WORKLOG`` environment variable must not append the replayed
+    statements to the very log being read.
+    """
     dbx = _explorer(
         args, tracer, worklog if worklog is not None else NO_WORKLOG
     )
@@ -526,39 +480,70 @@ def _fresh_replay_explorer(args, tracer=None, worklog=None):
     return dbx
 
 
-def _replay_concurrent_cmd(args, records, corrupt: int = 0) -> int:
-    """The ``replay --concurrency N`` path: the DAG-scheduled harness."""
+def _replay_threads(
+    args, records, corrupt: int, concurrency: int, config=None,
+    profiler=None,
+) -> int:
+    """Drive a log through a fresh thread pool, print, and gate it.
+
+    The one sequence behind ``replay``, thread-mode ``serve --stress``
+    (which passes its admission ``config``) and ``profile --session``
+    (which passes the sampling ``profiler`` to run the replay under).
+    """
     from repro.serve import replay_concurrent
 
-    if args.concurrency < 1:
-        raise ReproError(
-            f"--concurrency must be >= 1, got {args.concurrency}"
-        )
     tracer = _session_tracer(args)
+    if profiler is not None and tracer is None:
+        # span frames are what makes the flamegraph semantic
+        tracer = Tracer("session", command=args.command)
     worklog = _session_worklog(args)
     try:
         dbx = _fresh_replay_explorer(args, tracer, worklog)
-        report = replay_concurrent(
-            records, dbx, concurrency=args.concurrency
-        )
+        with profiler or contextlib.nullcontext():
+            report = replay_concurrent(
+                records, dbx, concurrency=concurrency, config=config
+            )
         report.corrupt_lines = corrupt
-        if args.verify_sequential:
-            failure = _verify_sequential(args, records, report, "concurrent")
-            if failure:
-                print(f"error: {failure}", file=sys.stderr)
-                return EXIT_BUILD_FAILED
         _print_report(args, report)
     finally:
         _write_obs(args, tracer, worklog)
+    _print_profile(args, profiler)
+    return _gate(args, records, report, registry().snapshot())
+
+
+def _gate(
+    args, records, report, snapshot, failures=(), label="concurrent"
+) -> int:
+    """The exit status of a driven log.
+
+    Exit 1 when the log held no statement; exit 2 on any of
+    ``failures``, a statement without a terminal outcome (a silent
+    drop), a ``--verify-sequential`` digest mismatch (``label`` names
+    the run under test) or a failed ``--slo`` over ``snapshot``.
+    """
     if not report.results:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
+        print("error: no statement records in the workload log",
+              file=sys.stderr)
         return EXIT_USAGE
-    slo_failure = _check_slos(args, registry().snapshot())
+    failures = list(failures)
+    dropped = [
+        res.index for res in report.results
+        if res.outcome not in ("ok", "degraded", "rejected", "failed")
+    ]
+    if dropped:
+        failures.append(
+            f"statements without a terminal outcome: {dropped}"
+        )
+    if getattr(args, "verify_sequential", False):
+        failure = _verify_sequential(args, records, report, label)
+        if failure:
+            failures.append(failure)
+    slo_failure = _check_slos(args, snapshot)
     if slo_failure:
-        print(f"error: {slo_failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
+        failures.append(slo_failure)
+    for failure in failures:
+        print(f"error: {failure}", file=sys.stderr)
+    return EXIT_BUILD_FAILED if failures else EXIT_OK
 
 
 def _verify_sequential(args, records, report, label: str) -> Optional[str]:
@@ -626,7 +611,7 @@ def cmd_serve(args) -> int:
     within the backoff bounds, and — with ``--verify-sequential`` —
     digests byte-identical to an in-process sequential replay.
     """
-    from repro.serve import ServeConfig, replay_concurrent
+    from repro.serve import ServeConfig
 
     if not args.stress:
         raise ReproError(
@@ -647,9 +632,7 @@ def cmd_serve(args) -> int:
             "--state-dir requires --procs (the durable catalog WAL "
             "lives in the multi-process supervisor)"
         )
-    records, corrupt = _read_workload(args)
-    _replay_defaults_from_header(args, records)
-    _guard_self_replay(args)
+    records, corrupt = _read_workload(args, args.worklog_file)
     if args.procs is not None:
         return _serve_procs(args, records, corrupt)
     try:
@@ -660,34 +643,7 @@ def cmd_serve(args) -> int:
         )
     except ValueError as exc:
         raise ReproError(str(exc)) from exc
-    tracer = _session_tracer(args)
-    worklog = _session_worklog(args)
-    try:
-        dbx = _fresh_replay_explorer(args, tracer, worklog)
-        report = replay_concurrent(
-            records, dbx, concurrency=args.workers, config=config
-        )
-        report.corrupt_lines = corrupt
-        _print_report(args, report)
-    finally:
-        _write_obs(args, tracer, worklog)
-    if not report.results:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
-        return EXIT_USAGE
-    dropped = [
-        res.index for res in report.results
-        if res.outcome not in ("ok", "degraded", "rejected", "failed")
-    ]
-    if dropped:
-        print(f"error: statements without a terminal outcome: {dropped}",
-              file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    slo_failure = _check_slos(args, registry().snapshot())
-    if slo_failure:
-        print(f"error: {slo_failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
+    return _replay_threads(args, records, corrupt, args.workers, config)
 
 
 def _chaos_plan(n: int) -> str:
@@ -909,11 +865,7 @@ def _serve_procs(args, records, corrupt: int) -> int:
             stats_stop.set()
         if supervisor is not None:
             supervisor.close(wait=False)
-        _write_obs_procs(args, tracer, worklog, supervisor)
-    if not report.results:
-        print("error: no statement records in "
-              f"{args.worklog_file}", file=sys.stderr)
-        return EXIT_USAGE
+        _write_obs(args, tracer, worklog, supervisor)
     failures = []
     if chaos["wedged"]:
         failures.append(f"{chaos['wedged']} ticket(s) never resolved")
@@ -950,28 +902,11 @@ def _serve_procs(args, records, corrupt: int) -> int:
                 "cluster metrics lack the proc.telemetry.dropped "
                 "counter (drops must be counted, even at zero)"
             )
-    dropped = [
-        res.index for res in report.results
-        if res.outcome not in ("ok", "degraded", "rejected", "failed")
-    ]
-    if dropped:
-        failures.append(
-            f"statements without a terminal outcome: {dropped}"
-        )
-    if args.verify_sequential:
-        failure = _verify_sequential(args, records, report, "procs")
-        if failure:
-            failures.append(failure)
-    slo_failure = _check_slos(
-        args, supervisor.telemetry.cluster_registry().snapshot()
+    return _gate(
+        args, records, report,
+        supervisor.telemetry.cluster_registry().snapshot(), failures,
+        label="procs",
     )
-    if slo_failure:
-        failures.append(slo_failure)
-    if failures:
-        for failure in failures:
-            print(f"error: {failure}", file=sys.stderr)
-        return EXIT_BUILD_FAILED
-    return EXIT_OK
 
 
 def _serve_torture(args) -> int:
@@ -1312,56 +1247,9 @@ def _profile_session(args) -> int:
     """The ``profile --session LOG`` path: a replay under the sampler."""
     from repro.obs import SamplingProfiler
 
-    corrupt: list = []
-    try:
-        records = read_worklog(args.session, corrupt_lines=corrupt)
-    except (ValueError, OSError) as exc:
-        raise ReproError(
-            f"cannot read worklog {args.session!r}: {exc}"
-        ) from exc
-    for lineno in corrupt:
-        print(
-            f"warning: {args.session}:{lineno}: corrupt worklog "
-            "line skipped",
-            file=sys.stderr,
-        )
-    _replay_defaults_from_header(args, records)
-    if getattr(args, "worklog", None) and os.path.abspath(args.worklog) \
-            == os.path.abspath(args.session):
-        raise ReproError(
-            "refusing to profile a worklog into itself; pass a "
-            "different --worklog path"
-        )
-    # always trace: span frames are what makes the flamegraph semantic
-    tracer = _session_tracer(args) or Tracer("session", command="profile")
-    worklog = _session_worklog(args)
+    records, corrupt = _read_workload(args, args.session)
     profiler = SamplingProfiler(hz=args.sample_hz, memory=args.memory)
-    try:
-        # NO_WORKLOG: a REPRO_WORKLOG environment variable must not
-        # append the profiled statements to the log being read
-        dbx = DBExplorer(
-            CADViewConfig(seed=args.seed), tracer=tracer,
-            worklog=worklog if worklog is not None else NO_WORKLOG,
-        )
-        dbx.register("data", _load_table(args))
-        with profiler:
-            report = replay(records, dbx)
-    finally:
-        _write_obs(args, tracer, worklog)
-    if report.statements == 0:
-        print(f"error: no statement records in {args.session}",
-              file=sys.stderr)
-        return EXIT_USAGE
-    print(
-        f"== profiled replay: {report.statements} statement(s) in "
-        f"{report.wall_s:.2f}s ({report.errors} error(s)) =="
-    )
-    if report.work_totals:
-        print("work counters (deterministic):")
-        for name, total in sorted(report.work_totals.items()):
-            print(f"  {name} = {total}")
-    _print_profile(args, profiler)
-    return EXIT_OK
+    return _replay_threads(args, records, corrupt, 1, profiler=profiler)
 
 
 def _print_profile(args, profiler) -> None:
@@ -1454,15 +1342,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true",
                    help="print the replay report as JSON")
     p.add_argument(
-        "--concurrency", type=int, default=None, metavar="N",
+        "--concurrency", type=int, default=1, metavar="N",
         help="replay through the serving executor with N workers "
              "(dependency-aware scheduling; deterministic — breakers "
-             "and deadlines off)",
+             "and deadlines off; default 1)",
     )
     p.add_argument(
         "--verify-sequential", action="store_true",
-        help="with --concurrency: also replay sequentially and fail "
-             "(exit 2) on any per-statement digest mismatch",
+        help="also replay sequentially and fail (exit 2) on any "
+             "per-statement digest mismatch",
     )
     p.add_argument(
         "--strict", action="store_true",
@@ -1627,7 +1515,7 @@ def build_parser() -> argparse.ArgumentParser:
     # so --session header values can fill them; cmd_profile restores
     # the usual usedcars/seed-7 defaults when no session log is given
     p.set_defaults(func=cmd_profile, dataset=None, seed=None,
-                   budget_ms=None)
+                   budget_ms=None, max_rows=None, faults=None, json=False)
 
     p = sub.add_parser("deps", help="discover attribute dependencies")
     _add_data_args(p)

@@ -8,8 +8,8 @@ Process-wide counters/gauges/histograms live in the default
 :func:`registry` and are dumped by ``--metrics``.
 
 The cross-run half: :mod:`repro.obs.worklog` captures every executed
-statement as a JSONL workload log (``--worklog`` / ``REPRO_WORKLOG``)
-and :mod:`repro.obs.replay` re-executes a captured log and reports the
+statement as a JSONL workload log (``--worklog`` / ``REPRO_WORKLOG``);
+:mod:`repro.serve.stress` re-executes a captured log and reports the
 latency distribution per statement kind (``repro replay``).
 
 The cost-model half: :mod:`repro.obs.work` accumulates deterministic
@@ -42,7 +42,6 @@ from repro.obs.metrics import (
     set_registry,
 )
 from repro.obs.profiler import SamplingProfiler
-from repro.obs.replay import ReplayReport, replay
 from repro.obs.slo import (
     SLObjective,
     SLOError,
@@ -87,5 +86,4 @@ __all__ = [
     "parse_slos", "evaluate_slos",
     "WorkLogWriter", "NullWorkLogWriter", "NO_WORKLOG",
     "WORKLOG_VERSION", "iter_worklog", "read_worklog", "statement_kind",
-    "ReplayReport", "replay",
 ]

@@ -63,6 +63,10 @@ _SPEC_RE = re.compile(
 
 # statement statuses that do not count against the error budget
 _OK_STATUSES = frozenset({"ok", "degraded"})
+# the per-kind latency histograms (seconds) and per-status statement
+# counters every serving path records
+_LATENCY_PREFIX = "serve.latency."
+_STATUS_PREFIX = "serve.statements."
 
 
 class SLOError(ReproError):
@@ -217,15 +221,15 @@ def _violating_fraction(
 
 
 def _collect_latency(
-    snapshot: Dict[str, object], prefix: str, kind: str
+    snapshot: Dict[str, object], kind: str
 ) -> Optional[Dict[str, object]]:
     """The merged histogram dump for ``kind`` (or all kinds for '*')."""
     hists = snapshot.get("histograms") or {}
     if kind != "*":
-        return hists.get(f"{prefix}{kind}")
+        return hists.get(f"{_LATENCY_PREFIX}{kind}")
     merged: Optional[Dict[str, object]] = None
     for name, dump in hists.items():
-        if not name.startswith(prefix):
+        if not name.startswith(_LATENCY_PREFIX):
             continue
         if merged is None:
             merged = {
@@ -247,15 +251,8 @@ def _collect_latency(
 def evaluate_slos(
     objectives: List[SLObjective],
     snapshot: Dict[str, object],
-    latency_prefix: str = "serve.latency.",
-    status_prefix: str = "serve.statements.",
 ) -> SLOReport:
-    """Evaluate every objective against one metrics snapshot.
-
-    ``latency_prefix`` names the per-kind latency histograms (seconds)
-    and ``status_prefix`` the per-status statement counters — pass the
-    ``replay.*`` prefixes to evaluate a sequential-replay snapshot.
-    """
+    """Evaluate every objective against one metrics snapshot."""
     report = SLOReport()
     for objective in objectives:
         if objective.metric == "error_rate":
@@ -263,9 +260,9 @@ def evaluate_slos(
             total = 0.0
             bad = 0.0
             for name, value in counters.items():
-                if not name.startswith(status_prefix):
+                if not name.startswith(_STATUS_PREFIX):
                     continue
-                status = name[len(status_prefix):]
+                status = name[len(_STATUS_PREFIX):]
                 total += float(value)
                 if status not in _OK_STATUSES:
                     bad += float(value)
@@ -283,7 +280,7 @@ def evaluate_slos(
                 int(total),
             ))
             continue
-        dump = _collect_latency(snapshot, latency_prefix, objective.kind)
+        dump = _collect_latency(snapshot, objective.kind)
         if dump is None or not int(dump.get("count") or 0):
             report.results.append(SLOResult(objective, None, True, None, 0))
             continue

@@ -6,7 +6,7 @@ executed through :class:`~repro.core.explorer.DBExplorer` appends one
 JSON line — statement text and kind, result-set sizes, the per-phase
 timings the span tree fed into the build profile, the degradation
 rungs hit, analyzer warnings, and the exit status — so a real session
-can be re-run later by ``repro replay`` (see :mod:`repro.obs.replay`)
+can be re-run later by ``repro replay`` (see :mod:`repro.serve.stress`)
 and benched against committed baselines.
 
 Record schema (version :data:`WORKLOG_VERSION`):

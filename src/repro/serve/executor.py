@@ -212,6 +212,10 @@ class StatementTicket:
         # run_attempts, proc mode from the worker's response
         self.degradations: Optional[List[str]] = None
         self.work: Optional[Dict[str, int]] = None
+        # execution time (what serve.latency.<kind> observed; 0 when it
+        # never executed) and the build's phase buckets, stamped likewise
+        self.latency_s = 0.0
+        self.phases_ms: Optional[Dict[str, float]] = None
         # set by the multi-process supervisor only, whose workers reduce
         # results to JSON digest payloads before they cross the pipe
         # (thread-mode callers digest ``result`` themselves)
@@ -325,6 +329,13 @@ class Attempts:
         if self.report is None:
             return []
         return [str(d) for d in self.report.degradations]
+
+    @property
+    def phases_ms(self) -> Optional[Dict[str, float]]:
+        """The phase buckets of this execution's build profile."""
+        if self.report is None or self.report.profile is None:
+            return None
+        return self.report.profile.phases_ms()
 
     @property
     def degraded(self) -> bool:
@@ -551,6 +562,7 @@ class ServingCore:
         if ticket.attempts > 1:
             metrics.counter("serve.retries").inc(ticket.attempts - 1)
         if elapsed_s is not None:
+            ticket.latency_s = elapsed_s
             metrics.histogram(
                 f"serve.latency.{ticket.kind or 'invalid'}"
             ).observe(elapsed_s)
@@ -761,6 +773,7 @@ class SessionExecutor(ServingCore):
         ticket.attempts = run.attempts
         ticket.work = run.work
         ticket.degradations = run.degradations
+        ticket.phases_ms = run.phases_ms
         self._complete(
             ticket,
             _outcome_of(run.status, ticket.short_circuited or run.degraded),

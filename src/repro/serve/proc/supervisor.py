@@ -985,7 +985,10 @@ class ProcSupervisor(ServingCore):
                     "status": "error",
                     "degradations": [],
                     "result_payload": None,
-                    "attempts": req.proc_attempt + 1,
+                    # one in-band attempt: the resubmissions after
+                    # worker deaths are counted by proc.resubmits and
+                    # ticket.proc_attempts, not serve.retries
+                    "attempts": 1,
                     "elapsed_ms": 0.0,
                     "error": f"{type(error).__name__}: {error}",
                     "proc_cause": cause,
@@ -1165,6 +1168,7 @@ class ProcSupervisor(ServingCore):
                 )
         req = state.requests[state.primary_part]
         pivot, phases_ms = primary.get("pivot"), primary.get("phases_ms")
+        ticket.phases_ms = phases_ms if isinstance(phases_ms, dict) else None
         self._complete(
             ticket,
             _outcome_of(
@@ -1178,9 +1182,7 @@ class ProcSupervisor(ServingCore):
             record={
                 "rows_out": rows_out,
                 "pivot": str(pivot) if pivot is not None else None,
-                "phases_ms": (
-                    phases_ms if isinstance(phases_ms, dict) else None
-                ),
+                "phases_ms": ticket.phases_ms,
                 "degradations": degradations,
                 "error": primary.get("error"),
                 "work": ticket.work,

@@ -500,9 +500,6 @@ class _Worker:
                 pivot = stmt.pivot
         except ReproError:
             stmt = None
-        phases_ms = None
-        if run.report is not None and run.report.profile is not None:
-            phases_ms = run.report.profile.phases_ms()
         status = run.status
         kind = statement_kind(stmt)
         # process-local metrics: shipped to the supervisor as part of
@@ -517,7 +514,7 @@ class _Worker:
             "result_payload": result_payload(run.result),
             "rows_out": _result_rows(run.result),
             "pivot": pivot,
-            "phases_ms": phases_ms,
+            "phases_ms": run.phases_ms,
             # EXPLAIN renders worker-side (the plan/timings live here);
             # ship the text so the supervisor can return real phase
             # numbers instead of silently-zero parent-side timings

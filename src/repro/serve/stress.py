@@ -1,10 +1,14 @@
-"""Dependency-aware concurrent replay and the stress driver.
+"""The one replay driver: dependency-aware, concurrent, deterministic.
 
-``repro replay --concurrency N`` re-executes a captured workload log
-through a :class:`~repro.serve.executor.SessionExecutor` pool — and the
-point of the exercise is that *concurrency must not change answers*.
-To keep that property checkable the harness is deterministic by
-construction:
+:func:`replay_concurrent` is the only code that executes a captured
+workload log.  ``repro replay`` (``--concurrency N``, default 1),
+``repro profile --session``, ``repro serve --stress`` and the session
+bench all run through it, on a
+:class:`~repro.serve.executor.SessionExecutor` pool or the process
+shards of a :class:`~repro.serve.proc.supervisor.ProcSupervisor` —
+and the point of the exercise is that *concurrency must not change
+answers*: sequential is simply concurrency 1.  To keep that property
+checkable the harness is deterministic by construction:
 
 * Statements form a **read/write dependency DAG on view names**
   (:func:`statement_scopes`): ``CREATE CADVIEW`` / ``DROP`` /
@@ -31,7 +35,11 @@ degradation rungs, and the full IUnit contents of a built view — and
 deliberately nothing wall-clock.  Two replays of the same log at any
 two concurrency levels must produce identical digest sequences; the
 ``--verify-sequential`` CI gate and the tier-1 determinism test both
-reduce to comparing those lists.
+reduce to comparing those lists.  Each result also carries what the
+interactive system is judged on — its execution latency (the
+``serve.latency.<kind>`` observation) and the build's phase buckets —
+from which :class:`ConcurrentReplayReport` derives p50/p95/p99 per
+statement kind, throughput, and degradation and failure counts.
 """
 
 from __future__ import annotations
@@ -52,7 +60,7 @@ from typing import (
 )
 
 from repro.errors import ReproError, ServeError
-from repro.obs.metrics import MetricsRegistry
+from repro.obs.metrics import Histogram, MetricsRegistry
 from repro.query.ast import (
     CreateCadViewStatement,
     DropCadViewStatement,
@@ -172,6 +180,10 @@ class StatementResult:
     # deliberately NOT part of the digest — they are gated on their own,
     # with exact equality, by the regression layer
     work: Optional[Dict[str, int]] = None
+    # execution time (serve.latency.<kind>; 0 when it never executed)
+    # and the build's phase buckets — wall clock, so never digested
+    latency_ms: float = 0.0
+    phases_ms: Optional[Dict[str, float]] = None
 
     def as_dict(self) -> Dict[str, object]:
         """JSON-friendly dump (statement text omitted: it is an input)."""
@@ -184,21 +196,36 @@ class StatementResult:
             "degradations": list(self.degradations),
             "error": self.error,
             "attempts": self.attempts,
+            "latency_ms": self.latency_ms,
+            "phases_ms": self.phases_ms,
             "work": dict(sorted(self.work.items())) if self.work else None,
         }
 
 
 @dataclass
 class ConcurrentReplayReport:
-    """Everything one concurrent replay produced."""
+    """Everything one replay of a workload log measured.
+
+    Every aggregate is computed from the per-statement results, so the
+    thread pool and the process shards report alike.
+    """
 
     concurrency: int
     results: List[StatementResult] = field(default_factory=list)
     wall_s: float = 0.0
     breaker_states: Dict[str, str] = field(default_factory=dict)
+    # malformed records (no statement text, unknown record kind) the
+    # driver skipped; session headers do not count
+    skipped: int = 0
     # corrupt worklog lines skipped while reading the input (the CLI
     # stamps this in; the harness itself never sees raw lines)
     corrupt_lines: int = 0
+    # the log's own elapsed_ms per shard, from records a --procs run
+    # stamped with proc={shard, ...}: the *captured* run's per-shard
+    # behaviour, not this replay's
+    captured_by_shard: Dict[str, Dict[str, float]] = field(
+        default_factory=dict
+    )
 
     @property
     def outcomes(self) -> Dict[str, int]:
@@ -216,9 +243,61 @@ class ConcurrentReplayReport:
             counts[res.status] = counts.get(res.status, 0) + 1
         return dict(sorted(counts.items()))
 
+    @property
+    def errors(self) -> int:
+        """Statements whose status is not ``ok``."""
+        return sum(1 for res in self.results if res.status != "ok")
+
+    @property
+    def degradations(self) -> int:
+        """Degradation rungs hit, summed over every build."""
+        return sum(len(res.degradations) for res in self.results)
+
+    @property
+    def throughput_stmt_s(self) -> float:
+        """Statements replayed per wall-clock second."""
+        return len(self.results) / self.wall_s if self.wall_s > 0 else 0.0
+
     def digests(self) -> List[str]:
         """Per-statement digests, in statement order."""
         return [res.digest for res in self.results]
+
+    def by_kind(self) -> Dict[str, Dict[str, float]]:
+        """Per statement kind: count, errors and latency percentiles.
+
+        One bucket histogram per kind over the statements' execution
+        times.  Bucket-bound quantiles are deliberately coarse: they
+        are byte-stable across runs whose latencies stay in the same
+        bucket, which is what the benchmark regression gate compares.
+        """
+        hists: Dict[str, Histogram] = {}
+        errors: Dict[str, int] = {}
+        for res in self.results:
+            hists.setdefault(res.kind, Histogram()).observe(
+                res.latency_ms / 1e3
+            )
+            errors[res.kind] = (
+                errors.get(res.kind, 0) + (res.status != "ok")
+            )
+        return {
+            kind: {
+                "count": float(hist.count),
+                "errors": float(errors[kind]),
+                "p50_ms": hist.quantile(0.50) * 1e3,
+                "p95_ms": hist.quantile(0.95) * 1e3,
+                "p99_ms": hist.quantile(0.99) * 1e3,
+                "mean_ms": hist.mean * 1e3,
+            }
+            for kind, hist in sorted(hists.items())
+        }
+
+    def phase_totals_ms(self) -> Dict[str, float]:
+        """The builds' phase buckets, summed over all statements."""
+        totals: Dict[str, float] = {}
+        for res in self.results:
+            for phase, ms in (res.phases_ms or {}).items():
+                totals[phase] = totals.get(phase, 0.0) + ms
+        return dict(sorted(totals.items()))
 
     def work_totals(self) -> Dict[str, int]:
         """Summed deterministic work counters over all statements.
@@ -234,6 +313,20 @@ class ConcurrentReplayReport:
                 totals[name] = totals.get(name, 0) + count
         return dict(sorted(totals.items()))
 
+    def work_by_kind(self) -> Dict[str, Dict[str, int]]:
+        """Summed work counters per statement kind."""
+        by_kind: Dict[str, Dict[str, int]] = {}
+        for res in self.results:
+            if not res.work:
+                continue
+            kind_work = by_kind.setdefault(res.kind, {})
+            for name, count in res.work.items():
+                kind_work[name] = kind_work.get(name, 0) + count
+        return {
+            kind: dict(sorted(counts.items()))
+            for kind, counts in sorted(by_kind.items())
+        }
+
     def mismatches(
         self, other: "ConcurrentReplayReport"
     ) -> List[Tuple[int, str, str]]:
@@ -248,16 +341,29 @@ class ConcurrentReplayReport:
         return out
 
     def as_dict(self) -> Dict[str, object]:
-        """JSON-friendly dump (what ``--json`` and the CI gate emit)."""
+        """JSON-friendly dump (what ``--json`` and the benches emit)."""
         return {
             "concurrency": self.concurrency,
             "statements": len(self.results),
+            "errors": self.errors,
+            "skipped": self.skipped,
             "corrupt_lines": self.corrupt_lines,
             "wall_s": self.wall_s,
+            "throughput_stmt_s": self.throughput_stmt_s,
+            "degradations": self.degradations,
             "outcomes": self.outcomes,
             "statuses": self.statuses,
             "breaker_states": dict(sorted(self.breaker_states.items())),
-            "work": {"totals": self.work_totals()},
+            "by_kind": self.by_kind(),
+            "phase_totals_ms": self.phase_totals_ms(),
+            "captured_by_shard": {
+                shard: dict(stats)
+                for shard, stats in sorted(self.captured_by_shard.items())
+            },
+            "work": {
+                "totals": self.work_totals(),
+                "by_kind": self.work_by_kind(),
+            },
             "results": [res.as_dict() for res in self.results],
         }
 
@@ -268,7 +374,9 @@ class ConcurrentReplayReport:
         )
         lines = [
             f"== concurrent replay: {len(self.results)} statement(s) "
-            f"at concurrency {self.concurrency} in {self.wall_s:.2f}s ==",
+            f"at concurrency {self.concurrency} in {self.wall_s:.2f}s "
+            f"({self.throughput_stmt_s:.1f} stmt/s, {self.errors} "
+            f"error(s), {self.skipped} skipped) ==",
             f"outcomes: {outcome_text or '(none)'}",
         ]
         if self.corrupt_lines:
@@ -281,18 +389,65 @@ class ConcurrentReplayReport:
                 f"{k}={v}"
                 for k, v in sorted(self.breaker_states.items())
             ))
+        lines.append(
+            f"{'kind':<18} {'count':>5} {'errors':>6} "
+            f"{'p50':>10} {'p95':>10} {'p99':>10} {'mean':>10}"
+        )
+        for kind, stats in self.by_kind().items():
+            lines.append(
+                f"{kind:<18} {int(stats['count']):>5} "
+                f"{int(stats['errors']):>6} " + _fmt_quantiles(stats)
+            )
+        status_text = "  ".join(
+            f"{status}={count}" for status, count in self.statuses.items()
+        )
+        lines.append(
+            f"degradations: {self.degradations}  statuses: "
+            f"{status_text or '(none)'}"
+        )
         totals = self.work_totals()
         if totals:
+            by_kind = self.work_by_kind()
             lines.append("work counters (deterministic, exact-gated):")
-            lines.extend(
-                f"  {name} = {count}" for name, count in totals.items()
+            for name, total in totals.items():
+                per_kind = "  ".join(
+                    f"{kind}={counts[name]}"
+                    for kind, counts in by_kind.items() if name in counts
+                )
+                lines.append(f"  {name} = {total}  [{per_kind}]")
+        if self.captured_by_shard:
+            lines.append(
+                "captured per-shard latency (from the log's --procs run):"
             )
+            lines.append(
+                f"{'shard':<18} {'count':>5} {'deaths':>6} "
+                f"{'p50':>10} {'p95':>10} {'p99':>10} {'mean':>10}"
+            )
+            for shard, stats in sorted(self.captured_by_shard.items()):
+                lines.append(
+                    f"{shard:<18} {int(stats['count']):>5} "
+                    f"{int(stats.get('proc_attempts', 0)):>6} "
+                    + _fmt_quantiles(stats)
+                )
         for res in self.results:
             lines.append(
                 f"#{res.index:<3} {res.status:<16} {res.outcome:<9} "
-                f"{res.digest}  {res.kind}"
+                f"{_fmt_ms(res.latency_ms):>10} {res.digest}  {res.kind}"
             )
         return "\n".join(lines)
+
+
+def _fmt_ms(value: float) -> str:
+    if value == float("inf"):
+        return ">10s"
+    return f"{value:.1f} ms"
+
+
+def _fmt_quantiles(stats: Dict[str, float]) -> str:
+    return " ".join(
+        f"{_fmt_ms(stats[key]):>10}"
+        for key in ("p50_ms", "p95_ms", "p99_ms", "mean_ms")
+    )
 
 
 def statement_sqls(records: Iterable[Dict[str, object]]) -> List[str]:
@@ -316,7 +471,9 @@ def replay_concurrent(
     """Replay a workload log through a worker pool, deterministically.
 
     ``records`` is :func:`~repro.obs.worklog.read_worklog` output;
-    session headers and malformed records are skipped.  Without an
+    session headers are ignored and malformed records skipped (counted
+    in ``report.skipped``).  Per-statement failures are measured and
+    reported, never raised.  Without an
     explicit ``config`` the executor is configured for determinism:
     ``concurrency`` workers, a queue that never rejects, no deadline,
     breakers off.  Passing a ``config`` (the stress driver does) keeps
@@ -342,9 +499,15 @@ def replay_concurrent(
         raise ValueError(f"concurrency must be >= 1, got {concurrency}")
     if executor is None and dbx is None:
         raise ValueError("need a dbx to build an executor around")
+    records = list(records)
     sqls = statement_sqls(records)
     n = len(sqls)
-    report = ConcurrentReplayReport(concurrency=concurrency)
+    report = ConcurrentReplayReport(
+        concurrency=concurrency,
+        skipped=sum(1 for rec in records if rec.get("kind") != "session")
+        - n,
+        captured_by_shard=_captured_by_shard(records),
+    )
     if n == 0:
         return report
     scopes = [statement_scopes(sql) for sql in sqls]
@@ -460,7 +623,58 @@ def _result_of(
         ),
         attempts=ticket.attempts,
         work=dict(ticket.work) if ticket.work else None,
+        latency_ms=ticket.latency_s * 1e3,
+        phases_ms=ticket.phases_ms,
     )
+
+
+def _captured_by_shard(
+    records: List[Dict[str, object]],
+) -> Dict[str, Dict[str, float]]:
+    """Per-shard percentiles of the log's own ``elapsed_ms``.
+
+    Only records a ``--procs`` run stamped with ``proc={shard, ...}``
+    contribute; ``proc_attempts`` sums the worker deaths they survived.
+    """
+    samples: Dict[str, List[float]] = {}
+    attempts: Dict[str, int] = {}
+    for rec in records:
+        proc = rec.get("proc")
+        if rec.get("kind") != "statement" or not isinstance(proc, dict) \
+                or proc.get("shard") is None:
+            continue
+        key = f"s{proc['shard']}"
+        captured_ms = rec.get("elapsed_ms")
+        if isinstance(captured_ms, (int, float)):
+            samples.setdefault(key, []).append(float(captured_ms))
+        attempts[key] = (
+            attempts.get(key, 0) + int(proc.get("proc_attempts") or 0)
+        )
+    out: Dict[str, Dict[str, float]] = {}
+    for key, values in sorted(samples.items()):
+        ordered = sorted(values)
+        out[key] = {
+            "count": float(len(ordered)),
+            "proc_attempts": float(attempts.get(key, 0)),
+            "p50_ms": _nearest_rank(ordered, 0.50),
+            "p95_ms": _nearest_rank(ordered, 0.95),
+            "p99_ms": _nearest_rank(ordered, 0.99),
+            "mean_ms": sum(ordered) / len(ordered),
+        }
+    return out
+
+
+def _nearest_rank(ordered: List[float], q: float) -> float:
+    """Exact nearest-rank percentile over pre-sorted samples.
+
+    Unlike the bucket-bound histogram quantiles of ``by_kind``, these
+    run over the log's recorded values directly — per-shard sample
+    counts are small enough that exactness beats byte-stability here.
+    """
+    if not ordered:
+        return 0.0
+    rank = max(1, int(q * len(ordered) + 0.999999))
+    return ordered[min(rank, len(ordered)) - 1]
 
 
 def _digest(

@@ -345,6 +345,28 @@ class TestReplayCommand:
             "ok", "degraded", "rejected", "failed"
         }
 
+    def test_one_definition_of_sequential(self, capsys):
+        """The default replay *is* concurrency 1: under faults it forks
+        them per statement and retries transient errors exactly like
+        any other concurrency level, so every answer matches."""
+        runs = []
+        for extra in ([], ["--concurrency", "1"], ["--concurrency", "4"]):
+            rc = main([
+                "replay", self.SESSION, "--rows", "2000", "--json",
+                "--faults", "cluster=convergence*3", *extra,
+            ])
+            assert rc == EXIT_OK
+            runs.append(json.loads(capsys.readouterr().out))
+        default, c1, c4 = runs
+        for other in (c1, c4):
+            assert [r["digest"] for r in other["results"]] == [
+                r["digest"] for r in default["results"]
+            ]
+            assert other["statuses"] == default["statuses"]
+            assert other["degradations"] == default["degradations"]
+            assert other["work"]["totals"] == default["work"]["totals"]
+        assert len(default["results"]) == 17
+
     def test_concurrent_replay_rejects_bad_concurrency(self, capsys):
         rc = main([
             "replay", self.SESSION, "--rows", "1000",

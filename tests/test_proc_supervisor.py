@@ -135,6 +135,28 @@ class TestCrashRecovery:
             assert isinstance(ticket.error, WorkerCrashError)
             assert sup.chaos_stats()["wedged"] == 0
 
+    def test_worker_deaths_are_resubmits_not_retries(self):
+        """Resubmissions after worker deaths count in proc.resubmits
+        and ticket.proc_attempts only; serve.retries and
+        ticket.attempts are the in-band transient retries."""
+        spec = _spec(faults_spec="proc.worker_crash:0=crash*")
+        metrics = MetricsRegistry()
+        with ProcSupervisor(
+            spec, _config(proc_retries=2), metrics=metrics
+        ) as sup:
+            assert sup.wait_ready(60)
+            ticket = sup.submit(
+                "SELECT Make FROM data", session="s0", fault_index=0
+            )
+            ticket.wait(120)
+        assert ticket.outcome == "failed"
+        assert isinstance(ticket.error, WorkerCrashError)
+        assert ticket.attempts == 1
+        assert ticket.proc_attempts == 2
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("serve.retries", 0) == 0
+        assert counters["proc.resubmits"] == 2
+
     def test_catalog_journal_survives_the_crash(self):
         """Views created before a crash must exist after the restart:
         the journal replays on the fresh incarnation, fault-free."""

@@ -351,19 +351,6 @@ class TestSLOEvaluation:
         (result,) = report.results
         assert result.samples == 10
 
-    def test_replay_prefixes_are_pluggable(self):
-        reg = MetricsRegistry()
-        reg.histogram("replay.latency.select").observe(0.001)
-        reg.counter("replay.statements.ok").inc(1)
-        report = evaluate_slos(
-            parse_slos("*:error_rate<=0.5,select:p95_ms<=100"),
-            reg.snapshot(),
-            latency_prefix="replay.latency.",
-            status_prefix="replay.statements.",
-        )
-        assert report.ok
-        assert report.evaluated == 2
-
     def test_report_renders_and_dumps(self):
         snap = self._snapshot({"view": [0.001]}, {"ok": 1})
         report = evaluate_slos(parse_slos("view:p95_ms<=100"), snap)

@@ -17,10 +17,10 @@ from repro.obs import (
     WorkLogWriter,
     iter_worklog,
     read_worklog,
-    replay,
     statement_kind,
 )
 from repro.query.parser import parse
+from repro.serve import replay_concurrent
 
 
 def _load_check_trace():
@@ -327,16 +327,17 @@ class TestReplay:
             with pytest.raises(AnalysisError):
                 dbx.execute("SELECT Nope FROM data")
         records = read_worklog(path)
-        report = replay(records, _explorer(cars, NO_WORKLOG))
-        assert report.statements == 3
+        report = replay_concurrent(records, _explorer(cars, NO_WORKLOG))
+        assert len(report.results) == 3
         assert report.errors == 1
         assert report.statuses == {"ok": 2, "analysis_error": 1}
         assert report.skipped == 0  # the session header is not "skipped"
-        assert set(report.by_kind) == {"select", "create_cadview"}
-        stats = report.by_kind["create_cadview"]
+        by_kind = report.by_kind()
+        assert set(by_kind) == {"select", "create_cadview"}
+        stats = by_kind["create_cadview"]
         assert stats["count"] == 1
         assert stats["p50_ms"] <= stats["p95_ms"] <= stats["p99_ms"]
-        assert report.phase_totals_ms["iunits"] > 0
+        assert report.phase_totals_ms()["iunits"] > 0
         assert report.throughput_stmt_s > 0
 
     def test_replay_skips_malformed_records(self, cars):
@@ -348,8 +349,8 @@ class TestReplay:
             {"kind": "statement", "statement": "SELECT Make FROM data",
              "statement_kind": "select"},
         ]
-        report = replay(records, _explorer(cars, NO_WORKLOG))
-        assert report.statements == 1
+        report = replay_concurrent(records, _explorer(cars, NO_WORKLOG))
+        assert len(report.results) == 1
         assert report.skipped == 3
 
     def test_render_mentions_percentiles(self, cars):
@@ -357,7 +358,9 @@ class TestReplay:
             "kind": "statement", "statement": "SELECT Make FROM data",
             "statement_kind": "select",
         }]
-        text = replay(records, _explorer(cars, NO_WORKLOG)).render()
+        text = replay_concurrent(
+            records, _explorer(cars, NO_WORKLOG)
+        ).render()
         assert "p50" in text and "p95" in text and "p99" in text
         assert "select" in text
 
